@@ -57,7 +57,7 @@ class SpscQueue {
   }
 
   /// Blocking push; yields while full. Prefer PushBounded in any path
-  /// where the consumer may have died (see ParallelEngineBase::Finish).
+  /// where the consumer may have died (see JoinEngine::Finish).
   void Push(const T& value) { PushBounded(value); }
 
   /// Push with an optional absolute deadline and an optional stop token.

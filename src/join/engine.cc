@@ -99,9 +99,8 @@ double EngineStats::ActualUnbalancedness() const {
   return std::sqrt(var) / mean;
 }
 
-ParallelEngineBase::ParallelEngineBase(const QuerySpec& spec,
-                                       const EngineOptions& options,
-                                       ResultSink* sink)
+JoinEngine::JoinEngine(const QuerySpec& spec, const EngineOptions& options,
+                       ResultSink* sink)
     : spec_(spec), options_(options), sink_(sink) {
   // Resolve NUMA placement before anything else so subclass constructors
   // (which run after this body) can bind per-joiner state — arenas — to
@@ -126,12 +125,12 @@ ParallelEngineBase::ParallelEngineBase(const QuerySpec& spec,
   }
 }
 
-ParallelEngineBase::~ParallelEngineBase() {
+JoinEngine::~JoinEngine() {
   // Engines must be Finish()ed; tolerate abandonment by draining anyway.
   if (started_ && !finished_) Finish();
 }
 
-Status ParallelEngineBase::Start() {
+Status JoinEngine::Start() {
   if (started_) return Status::FailedPrecondition("engine already started");
   Status s = options_.Validate();
   if (!s.ok()) return s;
@@ -191,7 +190,7 @@ Status ParallelEngineBase::Start() {
   return Status::OK();
 }
 
-void ParallelEngineBase::ArmWalIngest() {
+void JoinEngine::ArmWalIngest() {
   ingest_begun_ = true;
   if (wal_->HasExistingState() && !recovery_done_) {
     // The caller started ingesting without recovering: the on-disk
@@ -205,7 +204,7 @@ void ParallelEngineBase::ArmWalIngest() {
   }
 }
 
-void ParallelEngineBase::Push(const StreamEvent& event, int64_t arrival_us) {
+void JoinEngine::Push(const StreamEvent& event, int64_t arrival_us) {
   pushed_.fetch_add(1, std::memory_order_relaxed);
   if (stop_requested()) {
     // Aborted run: everything after the abort is shed at the door.
@@ -276,7 +275,7 @@ void ParallelEngineBase::Push(const StreamEvent& event, int64_t arrival_us) {
   }
 }
 
-void ParallelEngineBase::SignalWatermark(Timestamp watermark) {
+void JoinEngine::SignalWatermark(Timestamp watermark) {
   const uint64_t attempt = watermark_attempts_++;
   if (options_.fault_injector != nullptr &&
       options_.fault_injector->WatermarkFrozen(attempt)) {
@@ -331,10 +330,9 @@ void ParallelEngineBase::SignalWatermark(Timestamp watermark) {
   }
 }
 
-void ParallelEngineBase::FlushPending() { FlushAllStaged(/*deadline_ns=*/-1); }
+void JoinEngine::FlushPending() { FlushAllStaged(/*deadline_ns=*/-1); }
 
-Status ParallelEngineBase::AddQuery(std::string_view id,
-                                    const QuerySpec& spec) {
+Status JoinEngine::AddQuery(std::string_view id, const QuerySpec& spec) {
   if (!started_ || finished_) {
     return Status::FailedPrecondition(
         "AddQuery needs a started, unfinished engine");
@@ -364,8 +362,8 @@ Status ParallelEngineBase::AddQuery(std::string_view id,
   return ApplyCatalogAdd(id, spec);
 }
 
-Status ParallelEngineBase::ApplyCatalogAdd(std::string_view id,
-                                           const QuerySpec& spec) {
+Status JoinEngine::ApplyCatalogAdd(std::string_view id,
+                                   const QuerySpec& spec) {
   const bool wal_live =
       wal_ != nullptr && !replaying_.load(std::memory_order_relaxed);
   if (wal_live) {
@@ -398,7 +396,7 @@ Status ParallelEngineBase::ApplyCatalogAdd(std::string_view id,
   return Status::OK();
 }
 
-Status ParallelEngineBase::RemoveQuery(std::string_view id) {
+Status JoinEngine::RemoveQuery(std::string_view id) {
   if (!started_ || finished_) {
     return Status::FailedPrecondition(
         "RemoveQuery needs a started, unfinished engine");
@@ -426,7 +424,7 @@ Status ParallelEngineBase::RemoveQuery(std::string_view id) {
                           "'");
 }
 
-void ParallelEngineBase::ApplyCatalogRemove(QueryRuntime& query) {
+void JoinEngine::ApplyCatalogRemove(QueryRuntime& query) {
   query.active = false;
   RecomputeLatePolicies();
   Event ev;
@@ -438,7 +436,7 @@ void ParallelEngineBase::ApplyCatalogRemove(QueryRuntime& query) {
   }
 }
 
-void ParallelEngineBase::RecomputeLatePolicies() {
+void JoinEngine::RecomputeLatePolicies() {
   any_best_effort_ = false;
   any_side_channel_ = false;
   for (const QueryRuntime& q : queries_) {
@@ -452,7 +450,7 @@ void ParallelEngineBase::RecomputeLatePolicies() {
   }
 }
 
-std::string ParallelEngineBase::SerializeCatalog() const {
+std::string JoinEngine::SerializeCatalog() const {
   QueryCatalog catalog;
   for (const QueryRuntime& q : queries_) {
     catalog.Append(q.id, q.spec, q.active);
@@ -460,7 +458,7 @@ std::string ParallelEngineBase::SerializeCatalog() const {
   return catalog.Serialize();
 }
 
-void ParallelEngineBase::ApplyManifestCatalog(const QueryCatalog& catalog) {
+void JoinEngine::ApplyManifestCatalog(const QueryCatalog& catalog) {
   for (const QueryEntry& e : catalog.entries()) {
     if (e.ord == 0) continue;  // the primary comes from our own spec
     if (!SupportsMultiQuery()) {
@@ -474,7 +472,7 @@ void ParallelEngineBase::ApplyManifestCatalog(const QueryCatalog& catalog) {
   }
 }
 
-std::vector<QueryStatsRow> ParallelEngineBase::QuerySnapshot() const {
+std::vector<QueryStatsRow> JoinEngine::QuerySnapshot() const {
   std::vector<QueryStatsRow> rows;
   rows.reserve(queries_.size());
   for (const QueryRuntime& q : queries_) {
@@ -490,7 +488,7 @@ std::vector<QueryStatsRow> ParallelEngineBase::QuerySnapshot() const {
   return rows;
 }
 
-void ParallelEngineBase::EnqueueTo(uint32_t joiner, const Event& event) {
+void JoinEngine::EnqueueTo(uint32_t joiner, const Event& event) {
   if (event.kind != Event::Kind::kTuple) {
     if (!EnqueueControl(joiner, event, -1)) {
       ++control_lost_per_joiner_[joiner];
@@ -534,7 +532,7 @@ void ParallelEngineBase::EnqueueTo(uint32_t joiner, const Event& event) {
   }
 }
 
-void ParallelEngineBase::FlushStaged(uint32_t joiner, int64_t deadline_ns) {
+void JoinEngine::FlushStaged(uint32_t joiner, int64_t deadline_ns) {
   auto& stage = staged_[joiner];
   if (stage.empty()) return;
   staged_total_ -= stage.size();
@@ -542,7 +540,7 @@ void ParallelEngineBase::FlushStaged(uint32_t joiner, int64_t deadline_ns) {
   stage.clear();
 }
 
-void ParallelEngineBase::FlushAllStaged(int64_t deadline_ns) {
+void JoinEngine::FlushAllStaged(int64_t deadline_ns) {
   if (staged_total_ == 0) return;
   // Per-socket batches: the plan's flush order groups joiners by node,
   // so one socket's rings are filled back-to-back before the router's
@@ -554,8 +552,8 @@ void ParallelEngineBase::FlushAllStaged(int64_t deadline_ns) {
   }
 }
 
-void ParallelEngineBase::PushTupleBatch(uint32_t joiner, const Event* events,
-                                        size_t n, int64_t deadline_ns) {
+void JoinEngine::PushTupleBatch(uint32_t joiner, const Event* events,
+                                size_t n, int64_t deadline_ns) {
   SpscQueue<Event>& queue = *queues_[joiner];
   switch (options_.overload_policy) {
     case OverloadPolicy::kBlock: {
@@ -618,7 +616,7 @@ void ParallelEngineBase::PushTupleBatch(uint32_t joiner, const Event* events,
   }
 }
 
-void ParallelEngineBase::EnqueueShedding(uint32_t joiner, const Event& event) {
+void JoinEngine::EnqueueShedding(uint32_t joiner, const Event& event) {
   auto& spill = spill_[joiner];
   if (spill.empty() && queues_[joiner]->TryPush(event)) return;
 
@@ -630,7 +628,7 @@ void ParallelEngineBase::EnqueueShedding(uint32_t joiner, const Event& event) {
   ShedSpillOverflow(joiner);
 }
 
-void ParallelEngineBase::ShedSpillOverflow(uint32_t joiner) {
+void JoinEngine::ShedSpillOverflow(uint32_t joiner) {
   auto& spill = spill_[joiner];
   const size_t cap = options_.shed_spill_capacity > 0
                          ? options_.shed_spill_capacity
@@ -649,7 +647,7 @@ void ParallelEngineBase::ShedSpillOverflow(uint32_t joiner) {
   }
 }
 
-bool ParallelEngineBase::DrainSpill(uint32_t joiner, int64_t deadline_ns) {
+bool JoinEngine::DrainSpill(uint32_t joiner, int64_t deadline_ns) {
   auto& spill = spill_[joiner];
   while (!spill.empty()) {
     const PushResult r =
@@ -660,8 +658,8 @@ bool ParallelEngineBase::DrainSpill(uint32_t joiner, int64_t deadline_ns) {
   return true;
 }
 
-bool ParallelEngineBase::EnqueueControl(uint32_t joiner, const Event& event,
-                                        int64_t deadline_ns) {
+bool JoinEngine::EnqueueControl(uint32_t joiner, const Event& event,
+                                int64_t deadline_ns) {
   // A control event must never pass the tuples it gates: flush this
   // joiner's staged batch first so per-queue FIFO order is preserved.
   FlushStaged(joiner, deadline_ns);
@@ -676,7 +674,7 @@ bool ParallelEngineBase::EnqueueControl(uint32_t joiner, const Event& event,
          PushResult::kOk;
 }
 
-EngineStats ParallelEngineBase::Finish() {
+EngineStats JoinEngine::Finish() {
   EngineStats stats;
   if (!started_ || finished_) return stats;
   finished_ = true;
@@ -765,7 +763,7 @@ EngineStats ParallelEngineBase::Finish() {
   return stats;
 }
 
-void ParallelEngineBase::JoinerMain(uint32_t joiner) {
+void JoinEngine::JoinerMain(uint32_t joiner) {
   SetCurrentThreadName("joiner-" + std::to_string(joiner));
   if (placement_.active) {
     // Pin per the placement plan; pinning to a CPU the host lacks (fake
@@ -839,7 +837,6 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
           }
           case Event::Kind::kRemoveQuery:
             joiner_views_[joiner].accepting[ev.query->ord] = false;
-            OnRemoveQuery(joiner, ev.query->ord);
             break;
         }
         if (flushed) break;
@@ -859,7 +856,7 @@ void ParallelEngineBase::JoinerMain(uint32_t joiner) {
   exited_.fetch_add(1, std::memory_order_release);
 }
 
-bool ParallelEngineBase::InjectFaults(uint32_t joiner, uint64_t events_seen) {
+bool JoinEngine::InjectFaults(uint32_t joiner, uint64_t events_seen) {
   const FaultInjector* f = options_.fault_injector;
   if (f->SlowsJoiner(joiner)) {
     std::this_thread::sleep_for(std::chrono::microseconds(f->slow_delay_us));
@@ -875,12 +872,12 @@ bool ParallelEngineBase::InjectFaults(uint32_t joiner, uint64_t events_seen) {
   return true;
 }
 
-Status ParallelEngineBase::Health() const {
+Status JoinEngine::Health() const {
   std::lock_guard<std::mutex> lock(health_mu_);
   return health_;
 }
 
-WatchdogSample ParallelEngineBase::SampleProgress() const {
+WatchdogSample JoinEngine::SampleProgress() const {
   WatchdogSample sample;
   if (consumed_ == nullptr) return sample;  // not started yet
   const uint32_t n = options_.num_joiners;
@@ -903,7 +900,7 @@ WatchdogSample ParallelEngineBase::SampleProgress() const {
   return sample;
 }
 
-void ParallelEngineBase::StartWatchdog() {
+void JoinEngine::StartWatchdog() {
   watchdog_.Start(
       options_.watchdog, [this] { return SampleProgress(); },
       [this](const Status& status) {
@@ -912,12 +909,12 @@ void ParallelEngineBase::StartWatchdog() {
       });
 }
 
-void ParallelEngineBase::RecordUnhealthy(const Status& status) {
+void JoinEngine::RecordUnhealthy(const Status& status) {
   std::lock_guard<std::mutex> lock(health_mu_);
   if (health_.ok()) health_ = status;
 }
 
-void ParallelEngineBase::Sync() {
+void JoinEngine::Sync() {
   FlushAllStaged(/*deadline_ns=*/-1);
   if (wal_ != nullptr) {
     wal_->PollSnapshotCompletion();
@@ -925,8 +922,7 @@ void ParallelEngineBase::Sync() {
   }
 }
 
-void ParallelEngineBase::HandleSnapshotEvent(uint32_t joiner,
-                                             uint64_t epoch) {
+void JoinEngine::HandleSnapshotEvent(uint32_t joiner, uint64_t epoch) {
   if (wal_ == nullptr) return;
   std::vector<StreamEvent> state;
   if (!CollectSnapshotState(joiner, &state)) {
@@ -939,7 +935,7 @@ void ParallelEngineBase::HandleSnapshotEvent(uint32_t joiner,
   (void)wal_->WriteJoinerSnapshot(epoch, joiner, state);
 }
 
-Status ParallelEngineBase::BeginRecovery() {
+Status JoinEngine::BeginRecovery() {
   if (wal_ == nullptr) return Status::OK();  // durability off: trivial
   if (!started_ || finished_) {
     return Status::FailedPrecondition(
@@ -1001,7 +997,7 @@ Status ParallelEngineBase::BeginRecovery() {
   return Status::OK();
 }
 
-bool ParallelEngineBase::RecoveryStep(size_t max_events) {
+bool JoinEngine::RecoveryStep(size_t max_events) {
   if (!replaying_.load(std::memory_order_relaxed)) return false;
   size_t budget = max_events == 0 ? SIZE_MAX : max_events;
   WalReplayPlan& plan = *replay_plan_;
@@ -1075,7 +1071,7 @@ bool ParallelEngineBase::RecoveryStep(size_t max_events) {
   return true;
 }
 
-void ParallelEngineBase::FinishRecovery() {
+void JoinEngine::FinishRecovery() {
   WalReplayPlan& plan = *replay_plan_;
   FlushAllStaged(/*deadline_ns=*/-1);
   wal_->RecordReplay(replayed_tuples_, replayed_watermarks_,
@@ -1093,15 +1089,15 @@ void ParallelEngineBase::FinishRecovery() {
   replaying_.store(false, std::memory_order_release);
 }
 
-bool ParallelEngineBase::Recovering() const {
+bool JoinEngine::Recovering() const {
   return replaying_.load(std::memory_order_acquire);
 }
 
-WalStats ParallelEngineBase::SampleWal() const {
+WalStats JoinEngine::SampleWal() const {
   return wal_ != nullptr ? wal_->StatsSnapshot() : WalStats{};
 }
 
-void ParallelEngineBase::CrashForTest() {
+void JoinEngine::CrashForTest() {
   if (!started_ || finished_) return;
   finished_ = true;
   stop_.store(true, std::memory_order_release);

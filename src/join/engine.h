@@ -201,9 +201,9 @@ struct EngineOptions {
 
   /// Back the time-travel index with a per-joiner slab arena and chunked
   /// EBR retire instead of the global heap (DESIGN.md "Memory
-  /// management"). Exactness is unaffected; only engines that use the
-  /// index (Scale-OIJ, handshake) react — Key-OIJ/SplitJoin baselines
-  /// stay byte-for-byte faithful either way.
+  /// management"). Exactness is unaffected; only Scale-OIJ (the one
+  /// engine with the index) reacts — the Key-OIJ, SplitJoin and
+  /// OpenMLDB-like baselines stay byte-for-byte faithful either way.
   bool pooled_alloc = true;
 
   /// --- Columnar batch-join kernels (src/col/, DESIGN.md §5h) ---
@@ -401,23 +401,31 @@ struct EngineStats {
   double ActualUnbalancedness() const;
 };
 
-/// A parallel online interval join engine.
+/// A parallel online interval join engine: one router (the driver
+/// thread) feeding one SPSC ring per joiner thread. This class owns the
+/// thread lifecycle, the micro-batched transport, punctuation broadcast,
+/// the lateness gate, the standing-query catalog, the WAL and recovery,
+/// the watchdog, and stats merging; each engine (Key-OIJ, Scale-OIJ,
+/// SplitJoin, OpenMLDB-like) implements routing and per-event
+/// processing through the protected hooks.
 ///
 /// Protocol: Start() once; then, from a single driver thread, any number
 /// of Push()/SignalWatermark() calls; then Finish() exactly once, which
 /// drains, stops the joiners, and returns the merged statistics.
 class JoinEngine {
  public:
-  virtual ~JoinEngine() = default;
+  JoinEngine(const QuerySpec& spec, const EngineOptions& options,
+             ResultSink* sink);
+  virtual ~JoinEngine();
 
-  virtual Status Start() = 0;
+  Status Start();
 
   /// Feeds one arrival. `arrival_us` is the monotonic stamp used as the
   /// latency origin. Single driver thread only.
-  virtual void Push(const StreamEvent& event, int64_t arrival_us) = 0;
+  void Push(const StreamEvent& event, int64_t arrival_us);
 
   /// Injects a watermark punctuation (driver thread).
-  virtual void SignalWatermark(Timestamp watermark) = 0;
+  void SignalWatermark(Timestamp watermark);
 
   /// --- Standing-query catalog (driver thread) ---
   ///
@@ -427,36 +435,30 @@ class JoinEngine {
   /// a global property of a tuple); window, aggregate, and late policy
   /// are free. It covers base tuples pushed after the call returns — the
   /// catalog change rides the joiner control rings like a snapshot
-  /// barrier, so its first finalized window is exact.
-  virtual Status AddQuery(std::string_view /*id*/, const QuerySpec&) {
-    return Status::FailedPrecondition(
-        "this engine does not support a standing-query catalog");
-  }
+  /// barrier, so its first finalized window is exact. Engines without
+  /// catalog hooks refuse with FailedPrecondition.
+  Status AddQuery(std::string_view id, const QuerySpec& spec);
 
   /// Deactivates a standing query: base tuples pushed after the call no
   /// longer enter it, while windows already pending finalize normally
   /// (draining removal). The primary query cannot be removed.
-  virtual Status RemoveQuery(std::string_view /*id*/) {
-    return Status::FailedPrecondition(
-        "this engine does not support a standing-query catalog");
-  }
+  Status RemoveQuery(std::string_view id);
 
   /// Catalog contents + per-query counters (driver thread).
-  virtual std::vector<QueryStatsRow> QuerySnapshot() const { return {}; }
+  std::vector<QueryStatsRow> QuerySnapshot() const;
 
   /// Flushes any router-side staged batches into the joiner rings
   /// (driver thread). The pipeline calls this before blocking on the
-  /// pacer so staged tuples are never held across an idle gap; no-op for
-  /// engines without staging.
-  virtual void FlushPending() {}
+  /// pacer so staged tuples are never held across an idle gap.
+  void FlushPending();
 
-  virtual EngineStats Finish() = 0;
+  EngineStats Finish();
 
   /// Durability barrier (driver thread): flushes staged batches and
   /// forces every appended WAL byte to disk regardless of the fsync
   /// policy. After Sync() returns, a crash loses nothing that was
-  /// Push()ed before it. No-op for engines without a WAL.
-  virtual void Sync() {}
+  /// Push()ed before it. No-op without a WAL.
+  void Sync();
 
   /// --- Crash recovery (driver thread, between Start() and the first
   /// Push) ---
@@ -467,16 +469,16 @@ class JoinEngine {
   /// ingest path (replayed tuples are just "late" tuples — the lateness
   /// machinery makes recovery exact) and returns true while more
   /// remains, so a server can interleave replay with answering admin
-  /// probes. Engines without durability recover trivially.
-  virtual Status BeginRecovery() { return Status::OK(); }
-  virtual bool RecoveryStep(size_t /*max_events*/) { return false; }
+  /// probes. Without durability, recovery is trivial.
+  Status BeginRecovery();
+  bool RecoveryStep(size_t max_events);
 
   /// Convenience: BeginRecovery + drive RecoveryStep to completion.
   Status Recover();
 
   /// True while a recovery replay is in progress (any thread; the
   /// serving layer's /healthz answers 503 from this).
-  virtual bool Recovering() const { return false; }
+  bool Recovering() const;
 
   /// Watermark the recovered state is complete through (driver thread,
   /// meaningful once recovery finished). kMinTimestamp unless the run
@@ -484,51 +486,23 @@ class JoinEngine {
   /// case it is the watermark-consistent cut the replay stopped at —
   /// the value a server advertises in its hello reply so a router can
   /// resend exactly the un-acked suffix.
-  virtual Timestamp RecoveredWatermark() const { return kMinTimestamp; }
+  Timestamp RecoveredWatermark() const { return recovered_watermark_; }
 
   /// Live durability counters (any thread); all-zero without a WAL.
-  virtual WalStats SampleWal() const { return WalStats{}; }
+  WalStats SampleWal() const;
 
   /// Live health probe, callable from any thread while the engine runs:
   /// OK until the watchdog (or the Finish deadline) has escalated, then
   /// the escalation status. The serving layer's /healthz renders this.
-  virtual Status Health() const { return Status::OK(); }
+  Status Health() const;
 
   /// Live progress snapshot, callable from any thread: per-joiner ring
   /// occupancy and consumed counters plus router-side accepted/watermark
   /// totals. Empty before Start(). The serving layer's /metrics renders
-  /// this; engines without internal queues return the default.
-  virtual WatchdogSample SampleProgress() const { return WatchdogSample{}; }
+  /// this.
+  WatchdogSample SampleProgress() const;
 
   virtual std::string_view name() const = 0;
-};
-
-/// Shared implementation for the queue-per-joiner engines (Key-OIJ,
-/// Scale-OIJ, SplitJoin): thread lifecycle, punctuation broadcast, the
-/// joiner event loop, and stats merging. Subclasses implement routing and
-/// per-event processing.
-class ParallelEngineBase : public JoinEngine {
- public:
-  ParallelEngineBase(const QuerySpec& spec, const EngineOptions& options,
-                     ResultSink* sink);
-  ~ParallelEngineBase() override;
-
-  Status Start() final;
-  void Push(const StreamEvent& event, int64_t arrival_us) final;
-  void SignalWatermark(Timestamp watermark) final;
-  Status AddQuery(std::string_view id, const QuerySpec& spec) final;
-  Status RemoveQuery(std::string_view id) final;
-  std::vector<QueryStatsRow> QuerySnapshot() const final;
-  void FlushPending() final;
-  EngineStats Finish() final;
-  void Sync() final;
-  Status BeginRecovery() final;
-  bool RecoveryStep(size_t max_events) final;
-  bool Recovering() const final;
-  Timestamp RecoveredWatermark() const final { return recovered_watermark_; }
-  WalStats SampleWal() const final;
-  Status Health() const final;
-  WatchdogSample SampleProgress() const final;
 
   /// Test hook modeling kill -9: raises the stop token and tears the
   /// engine down with *no* final flush, drain or WAL sync — buffered
@@ -542,7 +516,7 @@ class ParallelEngineBase : public JoinEngine {
   virtual void Route(const Event& event) = 0;
 
   /// Per-event processing on joiner `j` (subclass). kFlush is handled by
-  /// the base loop after calling OnFlush.
+  /// the joiner loop after calling OnFlush.
   virtual void OnTuple(uint32_t joiner, const Event& event) = 0;
   virtual void OnWatermark(uint32_t joiner, Timestamp watermark) = 0;
 
@@ -550,10 +524,11 @@ class ParallelEngineBase : public JoinEngine {
   /// AddQuery refuses on engines that leave this false.
   virtual bool SupportsMultiQuery() const { return false; }
 
-  /// Catalog barriers on joiner `j`'s thread, after the base has updated
-  /// the joiner's catalog view: allocate / retire per-query joiner state.
+  /// Catalog barrier on joiner `j`'s thread, after the joiner loop has
+  /// added `query` to the joiner's catalog view: allocate per-query
+  /// joiner state. (Removal needs no hook: the view's `accepting` flag
+  /// flips and pending windows drain as usual.)
   virtual void OnAddQuery(uint32_t /*joiner*/, QueryRuntime& /*query*/) {}
-  virtual void OnRemoveQuery(uint32_t /*joiner*/, uint32_t /*ord*/) {}
 
   /// Called when the joiner's queue is momentarily empty; engines poll
   /// deferred work (pending base tuples waiting on teammates) here.
@@ -632,17 +607,6 @@ class ParallelEngineBase : public JoinEngine {
     query.results.fetch_add(1, std::memory_order_relaxed);
     sink_->OnResult(result);
   }
-
-  /// True once a second standing query has ever been registered (driver
-  /// thread). Single-query runs never flip this, keeping their Push path
-  /// identical to the pre-catalog engine.
-  bool multi_query_mode() const { return multi_mode_; }
-
-  /// Per-joiner utilization trackers (populated when collect_cpu_util).
-  std::vector<CpuUtilTracker> util_trackers_;
-
-  /// Per-joiner total busy nanoseconds (when collect_breakdown).
-  std::vector<int64_t> busy_ns_;
 
  private:
   void JoinerMain(uint32_t joiner);
@@ -737,6 +701,9 @@ class ParallelEngineBase : public JoinEngine {
   /// from `seq`, so it must be assigned before routing/staging).
   uint64_t seq_ = 0;
   int64_t run_origin_ns_ = 0;
+
+  std::vector<CpuUtilTracker> util_trackers_;  ///< when collect_cpu_util
+  std::vector<int64_t> busy_ns_;  ///< per joiner, when collect_breakdown
 
   // --- micro-batched transport (driver thread only) ---
   uint32_t batch_size_ = 1;  ///< effective size (capped at ring capacity)

@@ -23,7 +23,7 @@ namespace oij {
 /// are only evicted once the watermark proves no future window can contain
 /// them, so a large lateness directly inflates every scan — the behaviour
 /// Figs 4-9 dissect.
-class KeyOijEngine : public ParallelEngineBase {
+class KeyOijEngine : public JoinEngine {
  public:
   KeyOijEngine(const QuerySpec& spec, const EngineOptions& options,
                ResultSink* sink);

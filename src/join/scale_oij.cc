@@ -26,7 +26,7 @@ RebalanceConfig TopoAwareRebalance(const RebalanceConfig& base,
 
 ScaleOijEngine::ScaleOijEngine(const QuerySpec& spec,
                                const EngineOptions& options, ResultSink* sink)
-    : ParallelEngineBase(spec, options, sink),
+    : JoinEngine(spec, options, sink),
       ebr_(options.num_joiners + 1),
       table_(options.num_partitions, options.num_joiners),
       router_stats_(options.num_partitions),
@@ -203,9 +203,6 @@ void ScaleOijEngine::OnTuple(uint32_t joiner, const Event& event) {
 void ScaleOijEngine::OnWatermark(uint32_t joiner, Timestamp watermark) {
   JoinerState& s = *states_[joiner];
   if (watermark > s.last_wm) s.last_wm = watermark;
-  // Teams only grow, so refreshing to the newest schedule is always safe
-  // and guarantees the view covers every member routed to so far.
-  s.schedule = table_.Snapshot();
   // Publish before draining: gating is on progress, so publishing first
   // keeps the team free of circular waits; eviction safety is carried by
   // read_floor, which still reflects the undrained pending tuples.
@@ -241,7 +238,14 @@ void ScaleOijEngine::OnFlush(uint32_t joiner) {
 }
 
 void ScaleOijEngine::DrainPending(uint32_t joiner, JoinerState& s) {
-  if (s.schedule == nullptr) s.schedule = table_.Snapshot();
+  // Teams only grow, so catching up with the newest published schedule is
+  // always safe, and doing it before every drain guarantees the view
+  // covers every member routed to so far — kEager finalizes between
+  // punctuations, so a base routed right after a rebalance would
+  // otherwise miss the new members' indexes.
+  if (s.schedule->version != table_.version()) {
+    s.schedule = table_.Snapshot();
+  }
   bool popped = false;
   for (QueryRuntime* q : JoinerQueries(joiner)) {
     if (q == nullptr) continue;  // not yet announced to this joiner

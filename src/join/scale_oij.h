@@ -43,9 +43,10 @@ namespace oij {
 /// partition's team has passed its window end; the acquire-load of a
 /// teammate's progress synchronizes with that teammate's release-store,
 /// so every insert the teammate performed earlier is visible to the scan.
-/// Teams only grow and joiners refresh their schedule snapshot at least
-/// once per punctuation, so a finalizing joiner's team view always covers
-/// every member that may hold in-window tuples.
+/// Teams only grow and joiners refresh their schedule snapshot before
+/// every drain once the table's published version moved, so a finalizing
+/// joiner's team view always covers every member that may hold in-window
+/// tuples.
 ///
 /// Eviction. Each joiner additionally publishes a monotone `read_floor`:
 /// a lower bound on every index timestamp it may still scan, derived from
@@ -55,7 +56,7 @@ namespace oij {
 /// Owners unlink index prefixes strictly below min(read_floor) over all
 /// joiners; unlinked nodes are freed via EBR once every reader epoch
 /// drains, so scans already in flight stay memory-safe.
-class ScaleOijEngine : public ParallelEngineBase {
+class ScaleOijEngine : public JoinEngine {
  public:
   ScaleOijEngine(const QuerySpec& spec, const EngineOptions& options,
                  ResultSink* sink);

@@ -22,7 +22,7 @@ namespace oij {
 /// eagerly against whatever is present ("we remove the accuracy checking
 /// in OpenMLDB, thus eliminating the effect of lateness intentionally"),
 /// so results are approximate under disorder or multi-worker races.
-class SharedStateEngine : public ParallelEngineBase {
+class SharedStateEngine : public JoinEngine {
  public:
   SharedStateEngine(const QuerySpec& spec, const EngineOptions& options,
                     ResultSink* sink);

@@ -11,7 +11,7 @@ namespace oij {
 SplitJoinEngine::SplitJoinEngine(const QuerySpec& spec,
                                  const EngineOptions& options,
                                  ResultSink* sink)
-    : ParallelEngineBase(spec, options, sink) {
+    : JoinEngine(spec, options, sink) {
   states_.reserve(options.num_joiners);
   partial_queues_.reserve(options.num_joiners);
   for (uint32_t j = 0; j < options.num_joiners; ++j) {

@@ -26,7 +26,7 @@ namespace oij {
 /// balance (round-robin storage) and the costs the paper highlights —
 /// J-way broadcast traffic, all-joiners-process-all-base-tuples, full
 /// unsorted scans, and merge overhead.
-class SplitJoinEngine : public ParallelEngineBase {
+class SplitJoinEngine : public JoinEngine {
  public:
   SplitJoinEngine(const QuerySpec& spec, const EngineOptions& options,
                   ResultSink* sink);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/hash.h"
@@ -48,11 +49,23 @@ class PartitionTable {
       : current_(Schedule::MakeStatic(num_partitions, num_joiners)) {}
 
   std::shared_ptr<const Schedule> Snapshot() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return current_;
   }
 
+  /// Version of the newest published schedule. Stored after the pointer,
+  /// so a reader that sees a version can Snapshot() at least that
+  /// schedule; one plain load lets a hot path skip the snapshot while
+  /// nothing moved.
+  uint64_t version() const { return version_.load(std::memory_order_acquire); }
+
   void Publish(std::shared_ptr<const Schedule> schedule) {
-    current_.store(std::move(schedule), std::memory_order_release);
+    const uint64_t version = schedule->version;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      current_ = std::move(schedule);
+    }
+    version_.store(version, std::memory_order_release);
   }
 
   /// Partition of a key (shared by every component so routing and stats
@@ -62,7 +75,14 @@ class PartitionTable {
   }
 
  private:
-  std::atomic<std::shared_ptr<const Schedule>> current_;
+  // A mutex, not std::atomic<std::shared_ptr>: libstdc++ 12's atomic
+  // load() releases its internal lock with a relaxed store, so a
+  // concurrent Publish races with it (ThreadSanitizer reports it). Joiners
+  // snapshot only after version() moved, never per tuple, so the lock
+  // stays uncontended.
+  mutable std::mutex mu_;
+  std::shared_ptr<const Schedule> current_;
+  std::atomic<uint64_t> version_{0};
 };
 
 }  // namespace oij

@@ -303,8 +303,10 @@ bool OijServer::HandleFrame(Conn* conn, const WireFrame& frame) {
       conn->wants_acks = (frame.hello.flags & kHelloWantAcks) != 0;
       HelloInfo reply;
       reply.recovered_watermark = engine_->RecoveredWatermark();
+      // Durable-exact is a promise about the running engine's log, so it
+      // keys on the engine's live WAL, not only on what was configured.
       const DurabilityOptions& d = config_.options.durability;
-      if (d.enabled() && d.fsync == FsyncPolicy::kPerBatch &&
+      if (engine_->SampleWal().enabled && d.fsync == FsyncPolicy::kPerBatch &&
           d.recover_to_watermark) {
         reply.flags |= kHelloDurableExact;
       }

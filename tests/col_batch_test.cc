@@ -823,7 +823,7 @@ TEST(ColumnarEngineTest, RecoveryReplayExactWithColumnarOn) {
         engine1->SignalWatermark(tracker.watermark());
       }
     }
-    static_cast<ParallelEngineBase*>(engine1.get())->CrashForTest();
+    engine1->CrashForTest();
     accumulate(sink1.TakeResults());
 
     CollectingSink sink2;

@@ -128,8 +128,7 @@ INSTANTIATE_TEST_SUITE_P(
     Engines, WatermarkExactnessTest,
     ::testing::Combine(::testing::Values(EngineKind::kKeyOij,
                                          EngineKind::kScaleOij,
-                                         EngineKind::kSplitJoin,
-                                         EngineKind::kHandshake),
+                                         EngineKind::kSplitJoin),
                        ::testing::Values(1, 3, 4),
                        ::testing::Values(11, 12)),
     [](const auto& info) {
@@ -145,14 +144,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// With an in-order stream (disorder 0, unique timestamps), eager mode is
 /// exact for every engine, including the OpenMLDB-like baseline on a
-/// single worker.
+/// single worker. Parameters: (engine, joiners, skewed). A skewed row
+/// draws Zipf keys, rebalances every 1024 events and punctuates only at
+/// Finish, so every Scale-OIJ base routed after a team grew finalizes
+/// between punctuations — which only kEager does — and must still see
+/// the new members' probes.
 class EagerExactnessTest
-    : public ::testing::TestWithParam<std::tuple<EngineKind, int>> {};
+    : public ::testing::TestWithParam<std::tuple<EngineKind, int, bool>> {};
 
 TEST_P(EagerExactnessTest, MatchesReferenceInOrder) {
-  const auto [kind, joiners] = GetParam();
-  WorkloadSpec w = TestWorkload(21, /*keys=*/8, /*disorder=*/0);
+  const auto [kind, joiners, skewed] = GetParam();
+  WorkloadSpec w = TestWorkload(21, /*keys=*/skewed ? 64 : 8,
+                                /*disorder=*/0);
   w.lateness_us = 0;
+  if (skewed) w.key_distribution = KeyDistribution::kZipf;
   const QuerySpec q = TestQuery(EmitMode::kEager, AggKind::kSum, 0);
   const auto events = Generate(w);
   auto expected = ReferenceJoin(events, q);
@@ -160,24 +165,30 @@ TEST_P(EagerExactnessTest, MatchesReferenceInOrder) {
 
   EngineOptions options;
   options.num_joiners = static_cast<uint32_t>(joiners);
-  const auto run = RunOverEvents(kind, events, q, options);
+  if (skewed) options.rebalance_interval_events = 1024;
+  const auto run = RunOverEvents(kind, events, q, options,
+                                 skewed ? UINT64_MAX : 256);
   ExpectResultsEqual(run.results, expected,
                      std::string(EngineKindName(kind)));
+  if (skewed) {
+    EXPECT_GT(run.stats.rebalances, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, EagerExactnessTest,
-    ::testing::Values(std::make_tuple(EngineKind::kKeyOij, 4),
-                      std::make_tuple(EngineKind::kScaleOij, 4),
-                      std::make_tuple(EngineKind::kSplitJoin, 3),
-                      std::make_tuple(EngineKind::kHandshake, 3),
-                      std::make_tuple(EngineKind::kSharedState, 1)),
+    ::testing::Values(std::make_tuple(EngineKind::kKeyOij, 4, false),
+                      std::make_tuple(EngineKind::kScaleOij, 4, false),
+                      std::make_tuple(EngineKind::kScaleOij, 4, true),
+                      std::make_tuple(EngineKind::kSplitJoin, 3, false),
+                      std::make_tuple(EngineKind::kSharedState, 1, false)),
     [](const auto& info) {
       std::string name(EngineKindName(std::get<0>(info.param)));
       for (auto& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_j" + std::to_string(std::get<1>(info.param));
+      return name + "_j" + std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_skewed" : "");
     });
 
 // --------------------------------------------- operators and window shapes

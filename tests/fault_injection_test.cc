@@ -113,9 +113,9 @@ void ExpectSubsetOfReference(const std::vector<JoinResult>& got,
   }
 }
 
-constexpr EngineKind kAllParallelEngines[] = {
+constexpr EngineKind kAllEngines[] = {
     EngineKind::kKeyOij, EngineKind::kScaleOij, EngineKind::kSplitJoin,
-    EngineKind::kSharedState, EngineKind::kHandshake};
+    EngineKind::kSharedState};
 
 // ---------------------------------------------------------------------------
 // Stalled joiner: Finish must return (bounded) and report the failure.
@@ -123,7 +123,7 @@ constexpr EngineKind kAllParallelEngines[] = {
 
 TEST(FaultInjectionTest, StalledJoinerAbortsViaWatchdog) {
   const auto events = Generate(BaseWorkload(601));
-  for (EngineKind kind : kAllParallelEngines) {
+  for (EngineKind kind : kAllEngines) {
     const std::string label(EngineKindName(kind));
     FaultInjector faults;
     faults.stalled_joiner = 0;
@@ -234,7 +234,7 @@ TEST(FaultInjectionTest, LateFloodCountsMatchReferenceReplay) {
 
 TEST(FaultInjectionTest, LateFloodCountsExactAcrossEngines) {
   const LateFloodFixture fix(611);
-  for (EngineKind kind : kAllParallelEngines) {
+  for (EngineKind kind : kAllEngines) {
     for (LatePolicy policy : {LatePolicy::kDropAndCount,
                               LatePolicy::kSideChannel,
                               LatePolicy::kBestEffortJoin}) {
@@ -289,7 +289,7 @@ TEST(FaultInjectionTest, DropAndCountMatchesPolicyReferenceExactly) {
   // with no disorder handling and is documented as approximate even on
   // a well-behaved stream, so exact equality is not its contract.
   for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij,
-                          EngineKind::kSplitJoin, EngineKind::kHandshake}) {
+                          EngineKind::kSplitJoin}) {
     const std::string label(EngineKindName(kind));
     CollectingSink sink;
     EngineOptions options;

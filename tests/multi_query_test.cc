@@ -631,7 +631,7 @@ TEST(MultiQueryRecoveryTest, CrashRecoveryRestoresCatalogAndResultSets) {
       if (++n % kWmEvery == 0) engine->SignalWatermark(tracker.watermark());
     }
     const auto rows = engine->QuerySnapshot();
-    static_cast<ParallelEngineBase*>(engine.get())->CrashForTest();
+    engine->CrashForTest();
     accumulate(rows, sink.TakeResults(), "pre-crash");
   }
 

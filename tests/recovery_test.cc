@@ -162,7 +162,7 @@ CrashRunResult CrashAndRecover(EngineKind kind, const QuerySpec& query,
   // Crash immediately after the last punctuation: under per_batch the
   // sync barrier ran before that watermark was broadcast, so the whole
   // prefix is durable and recovery must be exact.
-  static_cast<ParallelEngineBase*>(engine1.get())->CrashForTest();
+  engine1->CrashForTest();
   Accumulate(&out.results, sink1.TakeResults(), label + "/pre-crash", lossy);
 
   CollectingSink sink2;

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <thread>
@@ -815,86 +816,154 @@ class HandshakeClient {
   std::thread reader_;
 };
 
+constexpr EngineKind kAllEngines[] = {EngineKind::kKeyOij,
+                                      EngineKind::kScaleOij,
+                                      EngineKind::kSplitJoin,
+                                      EngineKind::kSharedState};
+
+/// True when `dir` holds at least one WAL segment (wal-*.log).
+bool HasWalSegment(const std::string& dir) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("wal-") && name.ends_with(".log")) return true;
+  }
+  return false;
+}
+
 /// A hello'd peer that requests acks gets exactly one kWatermarkAck per
 /// applied watermark, in order, with a nondecreasing tuple count — and
 /// a durable-exact server (per_batch + recover-to-watermark) advertises
 /// that in its hello reply, which is what the router's sticky-replay
-/// decision keys on.
+/// decision keys on. Every engine logs, so every engine qualifies.
 TEST(ServerHandshakeTest, HelloNegotiatesAcksAndDurableExactFlag) {
   WorkloadSpec workload;
   ASSERT_TRUE(FindPreset("default", &workload));
   workload.total_tuples = 1'500;
-
-  char tmpl[] = "/tmp/oij_server_hello_XXXXXX";
-  char* dir = mkdtemp(tmpl);
-  ASSERT_NE(dir, nullptr);
-
-  ServerConfig config;
-  config.engine = EngineKind::kKeyOij;
-  config.query.window = workload.window;
-  config.query.lateness_us = workload.lateness_us;
-  config.query.emit_mode = EmitMode::kWatermark;
-  config.options.num_joiners = 1;
-  config.options.durability.wal_dir = dir;
-  config.options.durability.fsync = FsyncPolicy::kPerBatch;
-  config.options.durability.recover_to_watermark = true;
-  OijServer server(config);
-  ASSERT_TRUE(server.Start().ok());
-
   const auto events = Generate(workload);
   constexpr uint64_t kWmEvery = 128;
-  std::vector<Timestamp> sent_watermarks;
-  {
-    HandshakeClient client(server.data_port());
-    std::string batch;
-    HelloInfo hello;
-    hello.flags = kHelloWantAcks;
-    AppendHelloFrame(&batch, hello);
-    WatermarkTracker tracker(config.query.lateness_us);
-    uint64_t n = 0;
-    for (const StreamEvent& ev : events) {
-      tracker.Observe(ev.tuple.ts);
-      AppendTupleFrame(&batch, ev);
-      if (++n % kWmEvery == 0) {
-        AppendWatermarkFrame(&batch, tracker.watermark());
-        sent_watermarks.push_back(tracker.watermark());
-      }
-    }
-    AppendControlFrame(&batch, FrameType::kFinish);
-    ASSERT_TRUE(client.Send(batch));
-    client.JoinReader();
 
-    EXPECT_FALSE(client.corrupt);
-    ASSERT_TRUE(client.errors.empty())
-        << "server error: " << client.errors.front();
-    ASSERT_EQ(client.hellos.size(), 1u) << "no hello reply";
-    EXPECT_TRUE(client.hellos[0].Compatible());
-    EXPECT_NE(client.hellos[0].flags & kHelloDurableExact, 0)
-        << "per_batch + recover-to-watermark server must advertise "
-           "durable-exact";
-    EXPECT_EQ(client.hellos[0].recovered_watermark, kMinTimestamp)
-        << "fresh server advertised a recovered watermark";
+  for (EngineKind kind : kAllEngines) {
+    SCOPED_TRACE(EngineKindName(kind));
+    char tmpl[] = "/tmp/oij_server_hello_XXXXXX";
+    char* dir = mkdtemp(tmpl);
+    ASSERT_NE(dir, nullptr);
 
-    ASSERT_EQ(client.acks.size(), sent_watermarks.size())
-        << "one ack per applied watermark";
-    for (size_t i = 0; i < client.acks.size(); ++i) {
-      EXPECT_EQ(client.acks[i].first, sent_watermarks[i]) << "ack " << i;
-      if (i > 0) {
-        EXPECT_GE(client.acks[i].second, client.acks[i - 1].second)
-            << "acked tuple count regressed";
+    ServerConfig config;
+    config.engine = kind;
+    config.query.window = workload.window;
+    config.query.lateness_us = workload.lateness_us;
+    config.query.emit_mode = EmitMode::kWatermark;
+    config.options.num_joiners = 1;
+    config.options.durability.wal_dir = dir;
+    config.options.durability.fsync = FsyncPolicy::kPerBatch;
+    config.options.durability.recover_to_watermark = true;
+    OijServer server(config);
+    ASSERT_TRUE(server.Start().ok());
+
+    std::vector<Timestamp> sent_watermarks;
+    {
+      HandshakeClient client(server.data_port());
+      std::string batch;
+      HelloInfo hello;
+      hello.flags = kHelloWantAcks;
+      AppendHelloFrame(&batch, hello);
+      WatermarkTracker tracker(config.query.lateness_us);
+      uint64_t n = 0;
+      for (const StreamEvent& ev : events) {
+        tracker.Observe(ev.tuple.ts);
+        AppendTupleFrame(&batch, ev);
+        if (++n % kWmEvery == 0) {
+          AppendWatermarkFrame(&batch, tracker.watermark());
+          sent_watermarks.push_back(tracker.watermark());
+        }
       }
+      AppendControlFrame(&batch, FrameType::kFinish);
+      ASSERT_TRUE(client.Send(batch));
+      client.JoinReader();
+
+      EXPECT_FALSE(client.corrupt);
+      ASSERT_TRUE(client.errors.empty())
+          << "server error: " << client.errors.front();
+      ASSERT_EQ(client.hellos.size(), 1u) << "no hello reply";
+      EXPECT_TRUE(client.hellos[0].Compatible());
+      EXPECT_NE(client.hellos[0].flags & kHelloDurableExact, 0)
+          << "per_batch + recover-to-watermark server must advertise "
+             "durable-exact";
+      EXPECT_EQ(client.hellos[0].recovered_watermark, kMinTimestamp)
+          << "fresh server advertised a recovered watermark";
+
+      ASSERT_EQ(client.acks.size(), sent_watermarks.size())
+          << "one ack per applied watermark";
+      for (size_t i = 0; i < client.acks.size(); ++i) {
+        EXPECT_EQ(client.acks[i].first, sent_watermarks[i]) << "ack " << i;
+        if (i > 0) {
+          EXPECT_GE(client.acks[i].second, client.acks[i - 1].second)
+              << "acked tuple count regressed";
+        }
+      }
+      // The last ack certifies the tuples received up to that watermark;
+      // the tail past the final punctuation is unacked by design.
+      EXPECT_EQ(client.acks.back().second,
+                (events.size() / kWmEvery) * kWmEvery);
+      EXPECT_FALSE(client.summary.empty());
     }
-    // The last ack certifies the tuples received up to that watermark;
-    // the tail past the final punctuation is unacked by design.
-    EXPECT_EQ(client.acks.back().second,
-              (events.size() / kWmEvery) * kWmEvery);
-    EXPECT_FALSE(client.summary.empty());
+    EXPECT_EQ(server.CountersSnapshot().watermark_acks,
+              sent_watermarks.size());
+
+    server.Shutdown();
+    EXPECT_TRUE(HasWalSegment(dir)) << "durable-exact server wrote no WAL";
+    const std::string cleanup = std::string("rm -rf '") + dir + "'";
+    EXPECT_EQ(std::system(cleanup.c_str()), 0);
   }
-  EXPECT_EQ(server.CountersSnapshot().watermark_acks, sent_watermarks.size());
+}
 
-  server.Shutdown();
-  const std::string cleanup = std::string("rm -rf '") + dir + "'";
-  EXPECT_EQ(std::system(cleanup.c_str()), 0);
+/// Durable-exact promises that a crash loses no acked watermark, so the
+/// flag stays clear whenever that promise does not hold: interval fsync,
+/// per_batch without the watermark-cut recovery, or no WAL at all.
+TEST(ServerHandshakeTest, DurableExactFlagClearWithoutPerBatchWal) {
+  struct Case {
+    const char* label;
+    bool wal;
+    FsyncPolicy fsync;
+    bool recover_to_watermark;
+  };
+  const Case cases[] = {
+      {"interval", true, FsyncPolicy::kInterval, true},
+      {"per_batch-no-cut", true, FsyncPolicy::kPerBatch, false},
+      {"no-wal", false, FsyncPolicy::kPerBatch, true},
+  };
+  for (EngineKind kind : kAllEngines) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(EngineKindName(kind)) + "/" + c.label);
+      char tmpl[] = "/tmp/oij_server_hello_XXXXXX";
+      char* dir = mkdtemp(tmpl);
+      ASSERT_NE(dir, nullptr);
+
+      ServerConfig config;
+      config.engine = kind;
+      config.options.num_joiners = 1;
+      if (c.wal) config.options.durability.wal_dir = dir;
+      config.options.durability.fsync = c.fsync;
+      config.options.durability.recover_to_watermark =
+          c.recover_to_watermark;
+      OijServer server(config);
+      ASSERT_TRUE(server.Start().ok());
+      {
+        HandshakeClient client(server.data_port());
+        std::string batch;
+        AppendHelloFrame(&batch, HelloInfo{});
+        AppendControlFrame(&batch, FrameType::kFinish);
+        ASSERT_TRUE(client.Send(batch));
+        client.JoinReader();
+        ASSERT_EQ(client.hellos.size(), 1u) << "no hello reply";
+        EXPECT_EQ(client.hellos[0].flags & kHelloDurableExact, 0);
+      }
+      server.Shutdown();
+      EXPECT_EQ(HasWalSegment(dir), c.wal);
+      const std::string cleanup = std::string("rm -rf '") + dir + "'";
+      EXPECT_EQ(std::system(cleanup.c_str()), 0);
+    }
+  }
 }
 
 /// A hello from the wrong protocol era (or in the wrong place) must be

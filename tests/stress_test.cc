@@ -85,7 +85,7 @@ QuerySpec StressQuery() {
 TEST(StressTest, TinyQueuesForceBackpressure) {
   const auto events = Generate(StressWorkload(501));
   for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij,
-                          EngineKind::kSplitJoin, EngineKind::kHandshake}) {
+                          EngineKind::kSplitJoin}) {
     EngineOptions options;
     options.num_joiners = 3;
     options.queue_capacity = 8;  // constant push-side stalls
@@ -99,8 +99,7 @@ TEST(StressTest, PunctuationEveryEvent) {
   // A punctuation after every tuple maximizes eviction/rebalance churn
   // and progress publication.
   const auto events = Generate(StressWorkload(502));
-  for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij,
-                          EngineKind::kHandshake}) {
+  for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij}) {
     EngineOptions options;
     options.num_joiners = 2;
     ExpectExact(kind, events, StressQuery(), options, 1,
@@ -269,15 +268,12 @@ TEST(StressTest, PooledAllocOnOffBothExact) {
   QuerySpec q = StressQuery();
   q.window = w.window;
   const auto events = Generate(w);
-  for (EngineKind kind : {EngineKind::kScaleOij, EngineKind::kHandshake}) {
-    for (bool pooled : {false, true}) {
-      EngineOptions options;
-      options.num_joiners = 3;
-      options.pooled_alloc = pooled;
-      ExpectExact(kind, events, q, options, 64,
-                  std::string(pooled ? "pooled/" : "heap/") +
-                      std::string(EngineKindName(kind)));
-    }
+  for (bool pooled : {false, true}) {
+    EngineOptions options;
+    options.num_joiners = 3;
+    options.pooled_alloc = pooled;
+    ExpectExact(EngineKind::kScaleOij, events, q, options, 64,
+                pooled ? "pooled" : "heap");
   }
 }
 
@@ -324,42 +320,38 @@ TEST(StressTest, PooledAllocMatchesPolicyReferenceUnderLateFlood) {
   auto expected = ReferenceJoinWithPolicy(events, q, wm_every);
   SortResults(&expected);
 
-  for (EngineKind kind : {EngineKind::kScaleOij, EngineKind::kHandshake}) {
-    const std::string label =
-        std::string("pooled-late/") + std::string(EngineKindName(kind));
-    CollectingSink sink;
-    EngineOptions options;
-    options.num_joiners = 3;
-    options.pooled_alloc = true;
-    auto engine = CreateEngine(kind, q, options, &sink);
-    ASSERT_TRUE(engine->Start().ok()) << label;
-    WatermarkTracker tracker(q.lateness_us);
-    uint64_t n = 0;
-    for (const StreamEvent& ev : events) {
-      tracker.Observe(ev.tuple.ts);
-      engine->Push(ev, MonotonicNowUs());
-      if (++n % wm_every == 0) engine->SignalWatermark(tracker.watermark());
-    }
-    engine->Finish();
-
-    std::vector<ReferenceResult> got;
-    for (const JoinResult& r : sink.TakeResults()) {
-      got.push_back({r.base, r.aggregate, r.match_count});
-    }
-    SortResults(&got);
-    ASSERT_EQ(got.size(), expected.size()) << label;
-    size_t bad = 0;
-    for (size_t i = 0; i < got.size(); ++i) {
-      if (got[i].match_count != expected[i].match_count) ++bad;
-    }
-    EXPECT_EQ(bad, 0u) << label;
+  CollectingSink sink;
+  EngineOptions options;
+  options.num_joiners = 3;
+  options.pooled_alloc = true;
+  auto engine = CreateEngine(EngineKind::kScaleOij, q, options, &sink);
+  ASSERT_TRUE(engine->Start().ok());
+  WatermarkTracker tracker(q.lateness_us);
+  uint64_t n = 0;
+  for (const StreamEvent& ev : events) {
+    tracker.Observe(ev.tuple.ts);
+    engine->Push(ev, MonotonicNowUs());
+    if (++n % wm_every == 0) engine->SignalWatermark(tracker.watermark());
   }
+  engine->Finish();
+
+  std::vector<ReferenceResult> got;
+  for (const JoinResult& r : sink.TakeResults()) {
+    got.push_back({r.base, r.aggregate, r.match_count});
+  }
+  SortResults(&got);
+  ASSERT_EQ(got.size(), expected.size());
+  size_t bad = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i].match_count != expected[i].match_count) ++bad;
+  }
+  EXPECT_EQ(bad, 0u);
 }
 
 TEST(StressTest, SingleJoinerDegeneratesGracefully) {
   const auto events = Generate(StressWorkload(507));
   for (EngineKind kind : {EngineKind::kKeyOij, EngineKind::kScaleOij,
-                          EngineKind::kSplitJoin, EngineKind::kHandshake}) {
+                          EngineKind::kSplitJoin}) {
     EngineOptions options;
     options.num_joiners = 1;
     options.num_partitions = 1;
