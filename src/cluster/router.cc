@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "metrics/prometheus.h"
 #include "net/http.h"
 #include "net/socket.h"
 
@@ -877,10 +876,13 @@ void OijRouter::ProcessAdminInput(ClientConn* conn) {
                                    "no eligible backends\n");
     }
   } else if (request.path == "/statz") {
-    response = BuildHttpResponse(200, "application/json", RenderStatz());
+    JsonWriter j;
+    VisitStats(j);
+    response = BuildHttpResponse(200, "application/json", j.Take());
   } else if (request.path == "/metrics") {
-    response = BuildHttpResponse(200, "text/plain; version=0.0.4",
-                                 RenderMetrics());
+    PrometheusStatsWriter w("oij_router_");
+    VisitStats(w);
+    response = BuildHttpResponse(200, "text/plain; version=0.0.4", w.Take());
   } else {
     response = BuildHttpResponse(404, "text/plain; charset=utf-8",
                                  "not found\n");
@@ -890,149 +892,110 @@ void OijRouter::ProcessAdminInput(ClientConn* conn) {
   FlushClient(conn);
 }
 
-std::string OijRouter::RenderStatz() {
-  const RouterCounters c = CountersSnapshot();
-  std::string j = "{";
-  auto num = [&j](const char* key, int64_t value, bool comma = true) {
-    j += "\"";
-    j += key;
-    j += "\":";
-    j += std::to_string(value);
-    if (comma) j += ",";
-  };
-  num("clients_accepted", static_cast<int64_t>(c.clients_accepted));
-  num("clients_open", static_cast<int64_t>(c.clients_open));
-  num("clients_stalled_evicted",
-      static_cast<int64_t>(c.clients_stalled_evicted));
-  num("subscribers", static_cast<int64_t>(c.subscribers));
-  num("subscribers_evicted", static_cast<int64_t>(c.subscribers_evicted));
-  num("tuples_in", static_cast<int64_t>(c.tuples_in));
-  num("tuples_routed", static_cast<int64_t>(c.tuples_routed));
-  num("tuples_queued_sticky",
-      static_cast<int64_t>(c.tuples_queued_sticky));
-  num("tuples_failed_over", static_cast<int64_t>(c.tuples_failed_over));
-  num("tuples_dropped", static_cast<int64_t>(c.tuples_dropped));
-  num("watermarks_in", static_cast<int64_t>(c.watermarks_in));
-  num("watermarks_broadcast",
-      static_cast<int64_t>(c.watermarks_broadcast));
-  num("watermarks_ignored", static_cast<int64_t>(c.watermarks_ignored));
-  num("acks_received", static_cast<int64_t>(c.acks_received));
-  num("results_fanned", static_cast<int64_t>(c.results_fanned));
-  num("backend_connects", static_cast<int64_t>(c.backend_connects));
-  num("backend_disconnects",
-      static_cast<int64_t>(c.backend_disconnects));
-  num("backend_retries", static_cast<int64_t>(c.backend_retries));
-  num("replayed_tuples", static_cast<int64_t>(c.replayed_tuples));
-  num("replay_dropped_tuples",
-      static_cast<int64_t>(c.replay_dropped_tuples));
-  num("hellos_rejected", static_cast<int64_t>(c.hellos_rejected));
-  num("cluster_watermark", c.cluster_watermark);
-  num("min_backend_acked", c.min_backend_acked);
-  j += "\"run_finished\":";
-  j += run_finished_.load(std::memory_order_relaxed) ? "true" : "false";
-  j += ",\"backends\":[";
-  for (size_t i = 0; i < backends_.size(); ++i) {
-    const Backend& b = *backends_[i];
-    if (i > 0) j += ",";
-    j += "{\"id\":" + std::to_string(b.id);
-    j += ",\"state\":\"";
-    j += BackendStateName(static_cast<uint8_t>(b.state));
-    j += "\",\"healthy\":";
-    j += b.health_ok ? "true" : "false";
-    j += ",\"durable_exact\":";
-    j += b.durable_exact ? "true" : "false";
-    j += ",\"acked_watermark\":" + std::to_string(b.acked);
-    j += ",\"replay_buffered_tuples\":" +
-         std::to_string(b.replay.buffered_tuples());
-    j += ",\"replay_dropped_tuples\":" +
-         std::to_string(b.replay.dropped_tuples());
-    j += ",\"tuples_sent\":" + std::to_string(b.tuples_sent);
-    j += ",\"watermarks_sent\":" + std::to_string(b.watermarks_sent);
-    j += ",\"acks\":" + std::to_string(b.acks);
-    j += ",\"connects\":" + std::to_string(b.connects);
-    j += ",\"disconnects\":" + std::to_string(b.disconnects);
-    j += ",\"replays\":" + std::to_string(b.replays);
-    j += "}";
+void VisitRouterStats(const RouterCounters& c, bool run_finished,
+                      const std::vector<RouterBackendRow>& backends,
+                      StatsVisitor& v) {
+  v.Counter("clients_accepted", c.clients_accepted, {},
+            "Client connections accepted");
+  v.Gauge("clients_open", c.clients_open, {}, "Open client data connections");
+  v.Counter("clients_stalled_evicted", c.clients_stalled_evicted, {},
+            "Clients dropped by the slow-loris sweep");
+  v.Gauge("subscribers", c.subscribers, {}, "Clients subscribed to results");
+  v.Counter("subscribers_evicted", c.subscribers_evicted, {},
+            "Subscribers dropped for egress backlog overflow");
+  v.Counter("tuples_in", c.tuples_in, {}, "Tuple frames from clients");
+  v.Counter("tuples_routed", c.tuples_routed, {},
+            "Tuples forwarded to a backend");
+  v.Counter("tuples_queued_sticky", c.tuples_queued_sticky, {},
+            "Tuples buffered for a down sticky owner");
+  v.Counter("tuples_failed_over", c.tuples_failed_over, {},
+            "Tuples rerouted off their ring owner");
+  v.Counter("tuples_dropped", c.tuples_dropped, {},
+            "Tuples with no eligible backend");
+  v.Counter("watermarks_in", c.watermarks_in, {},
+            "Watermark frames from clients");
+  v.Counter("watermarks_broadcast", c.watermarks_broadcast, {},
+            "Watermarks broadcast to backends");
+  v.Counter("watermarks_ignored", c.watermarks_ignored, {},
+            "Non-increasing client watermarks not broadcast");
+  v.Counter("acks_received", c.acks_received, "oij_router_acks_total",
+            "Watermark acks from backends");
+  v.Counter("results_fanned", c.results_fanned, {},
+            "Result frames fanned to subscribers");
+  v.Counter("backend_connects", c.backend_connects, {},
+            "Backend connections that completed the handshake");
+  v.Counter("backend_disconnects", c.backend_disconnects, {},
+            "Backend connections lost");
+  v.Counter("backend_retries", c.backend_retries, {},
+            "Backend reconnect attempts scheduled");
+  v.Counter("replayed_tuples", c.replayed_tuples, {},
+            "Tuples resent to recovered backends");
+  v.Counter("replay_dropped_tuples", c.replay_dropped_tuples, {},
+            "Replay-buffer tuples lost to overflow or failover");
+  v.Counter("hellos_rejected", c.hellos_rejected, {},
+            "Client handshake frames refused");
+  v.Counter("admin_requests", c.admin_requests, {},
+            "Admin HTTP requests served");
+  v.Gauge("cluster_watermark", c.cluster_watermark, {},
+          "Min-of-backends cluster watermark");
+  v.Gauge("min_backend_acked", c.min_backend_acked, {},
+          "Lowest durability-acked watermark across backends");
+  v.Flag("run_finished", run_finished, {}, "1 once kFinish has completed");
+  v.Array("backends", "backend");
+  for (const RouterBackendRow& b : backends) {
+    v.Element(std::to_string(b.id));
+    v.Field("id", b.id);
+    v.Text("state", b.state);
+    v.Flag("healthy", b.healthy, "oij_router_backend_healthy",
+           "1 when the backend passes health checks");
+    v.Flag("durable_exact", b.durable_exact, {},
+           "1 when the backend's replay is exact (keys stick to it)");
+    v.Gauge("acked_watermark", b.acked_watermark,
+            "oij_router_backend_acked_watermark",
+            "Latest durability-acked watermark");
+    v.Gauge("replay_buffered_tuples", b.replay_buffered_tuples,
+            "oij_router_backend_replay_buffered_tuples",
+            "Un-acked tuples held for replay");
+    v.Counter("replay_dropped_tuples", b.replay_dropped_tuples, {},
+              "Replay-buffer tuples lost per backend");
+    v.Counter("tuples_sent", b.tuples_sent, {}, "Tuples sent per backend");
+    v.Counter("watermarks_sent", b.watermarks_sent, {},
+              "Watermarks sent per backend");
+    v.Counter("acks", b.acks, {}, "Watermark acks per backend");
+    v.Counter("connects", b.connects, {}, "Handshakes completed per backend");
+    v.Counter("disconnects", b.disconnects, {},
+              "Connections lost per backend");
+    v.Counter("replays", b.replays, {}, "Replays started per backend");
+    v.Flag("active", b.active, "oij_router_backend_active",
+           "1 when the backend connection is active");
+    v.Counter("health_probes", b.health.probes,
+              "oij_router_backend_health_probes_total",
+              "Active health probes");
+    v.Counter("health_failures", b.health.failures,
+              "oij_router_backend_health_failures_total",
+              "Failed health probes (active + passive)");
+    v.Counter("ejections", b.health.ejections,
+              "oij_router_backend_ejections_total", "Outlier ejections");
+    v.Counter("readmissions", b.health.readmissions,
+              "oij_router_backend_readmissions_total",
+              "Re-admissions after recovery");
+    v.End();
   }
-  j += "]}";
-  j += "\n";
-  return j;
+  v.End();
 }
 
-std::string OijRouter::RenderMetrics() {
-  const RouterCounters c = CountersSnapshot();
-  PrometheusWriter w;
-  w.Counter("oij_router_tuples_in_total", "Tuple frames from clients",
-            static_cast<double>(c.tuples_in));
-  w.Counter("oij_router_tuples_routed_total",
-            "Tuples forwarded to a backend",
-            static_cast<double>(c.tuples_routed));
-  w.Counter("oij_router_tuples_queued_sticky_total",
-            "Tuples buffered for a down sticky owner",
-            static_cast<double>(c.tuples_queued_sticky));
-  w.Counter("oij_router_tuples_failed_over_total",
-            "Tuples rerouted off their ring owner",
-            static_cast<double>(c.tuples_failed_over));
-  w.Counter("oij_router_tuples_dropped_total",
-            "Tuples with no eligible backend",
-            static_cast<double>(c.tuples_dropped));
-  w.Counter("oij_router_watermarks_broadcast_total",
-            "Watermarks broadcast to backends",
-            static_cast<double>(c.watermarks_broadcast));
-  w.Counter("oij_router_acks_total", "Watermark acks from backends",
-            static_cast<double>(c.acks_received));
-  w.Counter("oij_router_results_fanned_total",
-            "Result frames fanned to subscribers",
-            static_cast<double>(c.results_fanned));
-  w.Counter("oij_router_backend_retries_total",
-            "Backend reconnect attempts scheduled",
-            static_cast<double>(c.backend_retries));
-  w.Counter("oij_router_replayed_tuples_total",
-            "Tuples resent to recovered backends",
-            static_cast<double>(c.replayed_tuples));
-  w.Counter("oij_router_replay_dropped_tuples_total",
-            "Replay-buffer tuples lost to overflow or failover",
-            static_cast<double>(c.replay_dropped_tuples));
-  w.Counter("oij_router_clients_stalled_evicted_total",
-            "Clients dropped by the slow-loris sweep",
-            static_cast<double>(c.clients_stalled_evicted));
-  w.Counter("oij_router_subscribers_evicted_total",
-            "Subscribers dropped for egress backlog overflow",
-            static_cast<double>(c.subscribers_evicted));
-  w.Gauge("oij_router_cluster_watermark",
-          "Min-of-backends cluster watermark",
-          static_cast<double>(c.cluster_watermark));
-  w.Gauge("oij_router_clients_open", "Open client data connections",
-          static_cast<double>(c.clients_open));
-  for (const auto& backend : backends_) {
-    PrometheusLabels labels{{"backend", std::to_string(backend->id)}};
-    const HealthChecker::TargetStats hs = health_->StatsOf(backend->id);
-    w.Gauge("oij_router_backend_healthy",
-            "1 when the backend passes health checks", backend->health_ok,
-            labels);
-    w.Gauge("oij_router_backend_active",
-            "1 when the backend connection is active",
-            backend->state == BackendState::kActive ? 1.0 : 0.0, labels);
-    w.Gauge("oij_router_backend_acked_watermark",
-            "Latest durability-acked watermark",
-            static_cast<double>(backend->acked), labels);
-    w.Gauge("oij_router_backend_replay_buffered_tuples",
-            "Un-acked tuples held for replay",
-            static_cast<double>(backend->replay.buffered_tuples()), labels);
-    w.Counter("oij_router_backend_health_probes_total",
-              "Active health probes", static_cast<double>(hs.probes),
-              labels);
-    w.Counter("oij_router_backend_health_failures_total",
-              "Failed health probes (active + passive)",
-              static_cast<double>(hs.failures), labels);
-    w.Counter("oij_router_backend_ejections_total",
-              "Outlier ejections", static_cast<double>(hs.ejections),
-              labels);
-    w.Counter("oij_router_backend_readmissions_total",
-              "Re-admissions after recovery",
-              static_cast<double>(hs.readmissions), labels);
+void OijRouter::VisitStats(StatsVisitor& v) const {
+  std::vector<RouterBackendRow> rows;
+  for (const auto& b : backends_) {
+    rows.push_back({b->id, BackendStateName(static_cast<uint8_t>(b->state)),
+                    b->state == BackendState::kActive, b->health_ok,
+                    b->durable_exact, b->acked, b->replay.buffered_tuples(),
+                    b->replay.dropped_tuples(), b->tuples_sent,
+                    b->watermarks_sent, b->acks, b->connects, b->disconnects,
+                    b->replays, health_->StatsOf(b->id)});
   }
-  return w.Take();
+  VisitRouterStats(CountersSnapshot(),
+                   run_finished_.load(std::memory_order_relaxed), rows, v);
 }
 
 }  // namespace oij

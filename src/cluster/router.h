@@ -16,6 +16,7 @@
 #include "cluster/health_checker.h"
 #include "cluster/replay_buffer.h"
 #include "common/status.h"
+#include "metrics/stats_visitor.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/timer_queue.h"
@@ -97,6 +98,32 @@ struct RouterCounters {
   uint64_t hellos_rejected = 0;
   uint64_t admin_requests = 0;
 };
+
+/// One backend as the router's admin pages show it: the fields of its
+/// connection state plus its health checker's counters.
+struct RouterBackendRow {
+  uint32_t id = 0;
+  const char* state = "";
+  bool active = false;
+  bool healthy = true;
+  bool durable_exact = false;
+  Timestamp acked_watermark = kMinTimestamp;
+  uint64_t replay_buffered_tuples = 0;
+  uint64_t replay_dropped_tuples = 0;
+  uint64_t tuples_sent = 0;
+  uint64_t watermarks_sent = 0;
+  uint64_t acks = 0;
+  uint64_t connects = 0;
+  uint64_t disconnects = 0;
+  uint64_t replays = 0;
+  HealthChecker::TargetStats health;
+};
+
+/// The router's one stats walk behind /statz (JsonWriter) and /metrics
+/// (PrometheusStatsWriter with prefix `oij_router_`).
+void VisitRouterStats(const RouterCounters& c, bool run_finished,
+                      const std::vector<RouterBackendRow>& backends,
+                      StatsVisitor& v);
 
 /// Health-gated consistent-hash ingress router over N oij_server
 /// backends (ROADMAP item 2; modeled on Envoy's upstream machinery).
@@ -242,8 +269,8 @@ class OijRouter {
   void BroadcastFinish();
   void CompleteFinish();
 
-  std::string RenderStatz();
-  std::string RenderMetrics();
+  /// Gathers the backend rows and runs VisitRouterStats over them.
+  void VisitStats(StatsVisitor& v) const;
 
   RouterConfig config_;
   EventLoop loop_;

@@ -20,6 +20,8 @@ std::string_view CodeName(Status::Code code) {
       return "ResourceExhausted";
     case Status::Code::kDeadlineExceeded:
       return "DeadlineExceeded";
+    case Status::Code::kUnavailable:
+      return "Unavailable";
   }
   return "Unknown";
 }

@@ -21,6 +21,7 @@ class Status {
     kInternal,
     kResourceExhausted,
     kDeadlineExceeded,
+    kUnavailable,
   };
 
   Status() = default;
@@ -46,6 +47,9 @@ class Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(Code::kDeadlineExceeded, std::move(msg));
+  }
+  static Status Unavailable(std::string msg) {
+    return Status(Code::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == Code::kOk; }

@@ -125,10 +125,7 @@ JoinEngine::JoinEngine(const QuerySpec& spec, const EngineOptions& options,
   }
 }
 
-JoinEngine::~JoinEngine() {
-  // Engines must be Finish()ed; tolerate abandonment by draining anyway.
-  if (started_ && !finished_) Finish();
-}
+JoinEngine::~JoinEngine() = default;
 
 Status JoinEngine::Start() {
   if (started_) return Status::FailedPrecondition("engine already started");

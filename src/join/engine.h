@@ -416,6 +416,9 @@ class JoinEngine {
  public:
   JoinEngine(const QuerySpec& spec, const EngineOptions& options,
              ResultSink* sink);
+
+  /// Each engine's destructor calls Finish() (a no-op once finished):
+  /// joiners run its hooks, so they must stop while its members live.
   virtual ~JoinEngine();
 
   Status Start();

@@ -27,6 +27,7 @@ class KeyOijEngine : public JoinEngine {
  public:
   KeyOijEngine(const QuerySpec& spec, const EngineOptions& options,
                ResultSink* sink);
+  ~KeyOijEngine() override { Finish(); }  // see ~JoinEngine
 
   std::string_view name() const override { return "key-oij"; }
 

@@ -60,6 +60,7 @@ class ScaleOijEngine : public JoinEngine {
  public:
   ScaleOijEngine(const QuerySpec& spec, const EngineOptions& options,
                  ResultSink* sink);
+  ~ScaleOijEngine() override { Finish(); }  // see ~JoinEngine
 
   std::string_view name() const override { return "scale-oij"; }
 

@@ -26,6 +26,7 @@ class SharedStateEngine : public JoinEngine {
  public:
   SharedStateEngine(const QuerySpec& spec, const EngineOptions& options,
                     ResultSink* sink);
+  ~SharedStateEngine() override { Finish(); }  // see ~JoinEngine
 
   std::string_view name() const override { return "openmldb-like"; }
 

@@ -30,6 +30,7 @@ class SplitJoinEngine : public JoinEngine {
  public:
   SplitJoinEngine(const QuerySpec& spec, const EngineOptions& options,
                   ResultSink* sink);
+  ~SplitJoinEngine() override { Finish(); }  // see ~JoinEngine
 
   std::string_view name() const override { return "split-join"; }
 

@@ -1,6 +1,7 @@
 #include "metrics/prometheus.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -8,27 +9,42 @@ namespace oij {
 
 namespace {
 
+/// Backslash-escapes backslash, newline and, when `quote`, '"' (label
+/// values escape all three, HELP text leaves quotes alone).
+void AppendEscaped(std::string* out, std::string_view in, bool quote) {
+  for (char c : in) {
+    if (c == '\n') {
+      *out += "\\n";
+      continue;
+    }
+    if (c == '\\' || (quote && c == '"')) out->push_back('\\');
+    out->push_back(c);
+  }
+}
+
 bool NameChar(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
          (c >= '0' && c <= '9') || c == '_' || c == ':';
 }
 
-/// Renders a double the way Prometheus clients do: integers without a
-/// fractional part, everything else with enough digits to round-trip.
-std::string RenderValue(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
+}  // namespace
+
+std::string FormatMetricValue(MetricValue value) {
+  char buf[64];
+  const auto chars = [&buf](auto v) {
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  };
+  const double* d = std::get_if<double>(&value.value);
+  if (d == nullptr) return std::visit(chars, value.value);
+  if (std::isnan(*d)) return "NaN";
+  if (std::isinf(*d)) return *d > 0 ? "+Inf" : "-Inf";
+  // Integral doubles print without a fractional part (2^63 bounds int64).
+  if (*d == std::floor(*d) && std::abs(*d) <= 0x1p63) {
+    std::snprintf(buf, sizeof(buf), "%.0f", *d);
     return buf;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  return chars(*d);
 }
-
-}  // namespace
 
 std::string SanitizeMetricName(std::string_view name) {
   std::string out;
@@ -41,94 +57,83 @@ std::string SanitizeMetricName(std::string_view name) {
 
 std::string EscapeLabelValue(std::string_view value) {
   std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
+  AppendEscaped(&out, value, /*quote=*/true);
   return out;
 }
 
-void PrometheusWriter::Header(const std::string& name, std::string_view help,
-                              std::string_view type) {
-  if (std::find(seen_families_.begin(), seen_families_.end(), name) !=
-      seen_families_.end()) {
-    return;
-  }
-  seen_families_.push_back(name);
-  text_ += "# HELP " + name + " ";
-  // HELP text escapes backslash and newline only.
-  for (char c : help) {
-    if (c == '\\') {
-      text_ += "\\\\";
-    } else if (c == '\n') {
-      text_ += "\\n";
-    } else {
-      text_.push_back(c);
-    }
-  }
-  text_ += "\n# TYPE " + name + " ";
-  text_ += type;
-  text_ += "\n";
+std::string* PrometheusWriter::Family(const std::string& name,
+                                      std::string_view help,
+                                      std::string_view type) {
+  auto it = std::find_if(families_.begin(), families_.end(),
+                         [&](const auto& f) { return f.first == name; });
+  if (it != families_.end()) return &it->second;
+  std::string& text =
+      families_.emplace_back(name, "# HELP " + name + " ").second;
+  AppendEscaped(&text, help, /*quote=*/false);
+  text += "\n# TYPE " + name + " ";
+  text += type;
+  text += "\n";
+  return &text;
 }
 
-void PrometheusWriter::Sample(const std::string& name,
-                              const PrometheusLabels& labels, double value) {
-  text_ += name;
+void PrometheusWriter::Sample(std::string* text, const std::string& name,
+                              const PrometheusLabels& labels,
+                              MetricValue value) {
+  *text += name;
   if (!labels.empty()) {
-    text_ += "{";
+    *text += "{";
     bool first = true;
     for (const auto& [k, v] : labels) {
-      if (!first) text_ += ",";
+      if (!first) *text += ",";
       first = false;
-      text_ += SanitizeMetricName(k) + "=\"" + EscapeLabelValue(v) + "\"";
+      *text += SanitizeMetricName(k) + "=\"" + EscapeLabelValue(v) + "\"";
     }
-    text_ += "}";
+    *text += "}";
   }
-  text_ += " " + RenderValue(value) + "\n";
+  *text += " " + FormatMetricValue(value) + "\n";
 }
 
 void PrometheusWriter::Counter(std::string_view name, std::string_view help,
-                               double value, const PrometheusLabels& labels) {
+                               MetricValue value,
+                               const PrometheusLabels& labels) {
   const std::string n = SanitizeMetricName(name);
-  Header(n, help, "counter");
-  Sample(n, labels, value);
+  Sample(Family(n, help, "counter"), n, labels, value);
 }
 
 void PrometheusWriter::Gauge(std::string_view name, std::string_view help,
-                             double value, const PrometheusLabels& labels) {
+                             MetricValue value,
+                             const PrometheusLabels& labels) {
   const std::string n = SanitizeMetricName(name);
-  Header(n, help, "gauge");
-  Sample(n, labels, value);
+  Sample(Family(n, help, "gauge"), n, labels, value);
 }
 
 void PrometheusWriter::Histogram(std::string_view name, std::string_view help,
                                  const LatencyRecorder& recorder,
                                  const PrometheusLabels& labels) {
   const std::string n = SanitizeMetricName(name);
-  Header(n, help, "histogram");
+  std::string* text = Family(n, help, "histogram");
   for (const auto& bucket : recorder.CumulativeBuckets()) {
     PrometheusLabels with_le = labels;
-    with_le.emplace_back("le", RenderValue(static_cast<double>(bucket.upper_us)));
-    Sample(n + "_bucket", with_le,
-           static_cast<double>(bucket.cumulative_count));
+    with_le.emplace_back("le", FormatMetricValue(bucket.upper_us));
+    Sample(text, n + "_bucket", with_le, bucket.cumulative_count);
   }
   PrometheusLabels inf = labels;
   inf.emplace_back("le", "+Inf");
-  Sample(n + "_bucket", inf, static_cast<double>(recorder.count()));
-  Sample(n + "_sum", labels, static_cast<double>(recorder.sum_us()));
-  Sample(n + "_count", labels, static_cast<double>(recorder.count()));
+  Sample(text, n + "_bucket", inf, recorder.count());
+  Sample(text, n + "_sum", labels, recorder.sum_us());
+  Sample(text, n + "_count", labels, recorder.count());
+}
+
+std::string PrometheusWriter::text() const {
+  std::string out;
+  for (const auto& family : families_) out += family.second;
+  return out;
+}
+
+std::string PrometheusWriter::Take() {
+  std::string out = text();
+  families_.clear();
+  return out;
 }
 
 }  // namespace oij

@@ -1,655 +1,336 @@
 #include "server/admin.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
+#include <tuple>
+#include <utility>
 
 #include "core/run_summary.h"
-#include "metrics/prometheus.h"
 
 namespace oij {
 
 namespace {
 
-/// Minimal append-style JSON builder (objects/arrays nested by hand at
-/// the call site; this only handles correct escaping and number forms).
-class JsonOut {
- public:
-  void Raw(std::string_view s) { out_.append(s); }
-
-  void Key(std::string_view name) {
-    String(name);  // String() emits the separating comma
-    out_ += ":";
-    pending_comma_ = false;
-  }
-
-  void String(std::string_view s) {
-    Comma();
-    out_ += '"';
-    for (char c : s) {
-      switch (c) {
-        case '"':
-          out_ += "\\\"";
-          break;
-        case '\\':
-          out_ += "\\\\";
-          break;
-        case '\n':
-          out_ += "\\n";
-          break;
-        case '\r':
-          out_ += "\\r";
-          break;
-        case '\t':
-          out_ += "\\t";
-          break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
-      }
-    }
-    out_ += '"';
-    pending_comma_ = true;
-  }
-
-  void Number(double v) {
-    Comma();
-    if (!std::isfinite(v)) {
-      Raw("null");
-    } else if (v == std::floor(v) && std::abs(v) < 1e15) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.0f", v);
-      Raw(buf);
-    } else {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", v);
-      Raw(buf);
-    }
-    pending_comma_ = true;
-  }
-
-  void Number(uint64_t v) { Number(static_cast<double>(v)); }
-  void Number(int64_t v) { Number(static_cast<double>(v)); }
-
-  void Bool(bool v) {
-    Comma();
-    Raw(v ? "true" : "false");
-    pending_comma_ = true;
-  }
-
-  void Null() {
-    Comma();
-    Raw("null");
-    pending_comma_ = true;
-  }
-
-  void Open(char bracket) {
-    Comma();
-    out_ += bracket;
-    pending_comma_ = false;
-  }
-  void Close(char bracket) {
-    out_ += bracket;
-    pending_comma_ = true;
-  }
-
-  std::string Take() { return std::move(out_); }
-
- private:
-  void Comma() {
-    if (pending_comma_) out_ += ',';
-    pending_comma_ = false;
-  }
-
-  std::string out_;
-  bool pending_comma_ = false;
-};
-
-/// Emits the standing-query catalog as a JSON array (shared by /statz
-/// and /queries).
-void AppendQueryRows(JsonOut& j, const std::vector<QueryStatsRow>& queries) {
-  j.Open('[');
+/// The standing-query catalog as a /statz array (shared by /statz and
+/// /queries). Spec fields are /statz-only; the counters export per query.
+void VisitQueryRows(const std::vector<QueryStatsRow>& queries,
+                    StatsVisitor& v) {
+  v.Array("queries", "query");
   for (const QueryStatsRow& q : queries) {
-    j.Open('{');
-    j.Key("id");
-    j.String(q.id);
-    j.Key("ord");
-    j.Number(static_cast<uint64_t>(q.ord));
-    j.Key("active");
-    j.Bool(q.active);
-    j.Key("pre");
-    j.Number(static_cast<int64_t>(q.spec.window.pre));
-    j.Key("fol");
-    j.Number(static_cast<int64_t>(q.spec.window.fol));
-    j.Key("lateness");
-    j.Number(static_cast<int64_t>(q.spec.lateness_us));
-    j.Key("agg");
-    j.String(AggKindName(q.spec.agg));
-    j.Key("emit");
-    j.String(EmitModeName(q.spec.emit_mode));
-    j.Key("late_policy");
-    j.String(LatePolicyName(q.spec.late_policy));
-    j.Key("results");
-    j.Number(q.results);
-    j.Key("late");
-    j.Open('{');
-    j.Key("tuples");
-    j.Number(q.late.tuples);
-    j.Key("joined");
-    j.Number(q.late.joined);
-    j.Key("dropped");
-    j.Number(q.late.dropped);
-    j.Key("side_channel");
-    j.Number(q.late.side_channel);
-    j.Close('}');
-    j.Close('}');
+    v.Element(q.id);
+    v.Text("id", q.id);
+    v.Field("ord", q.ord);
+    v.Flag("active", q.active, "oij_query_active",
+           "1 while the standing query accepts new base tuples");
+    v.Field("pre", q.spec.window.pre);
+    v.Field("fol", q.spec.window.fol);
+    v.Field("lateness", q.spec.lateness_us);
+    v.Text("agg", AggKindName(q.spec.agg));
+    v.Text("emit", EmitModeName(q.spec.emit_mode));
+    v.Text("late_policy", LatePolicyName(q.spec.late_policy));
+    v.Counter("results", q.results, "oij_query_results_total",
+              "Join results emitted per standing query");
+    v.Object("late");
+    v.Counter("tuples", q.late.tuples, "oij_query_late_total",
+              "Lateness-bound violations observed per standing query");
+    v.Counter("joined", q.late.joined, {},
+              "Late tuples joined best-effort per standing query");
+    v.Counter("dropped", q.late.dropped, {},
+              "Late tuples dropped per standing query");
+    v.Counter("side_channel", q.late.side_channel, {},
+              "Late tuples diverted to the side channel per standing query");
+    v.End();
+    v.End();
   }
-  j.Close(']');
+  v.End();
+}
+
+/// Per-node arena gauges shared by the live and the final NUMA objects.
+void VisitNodeArenas(const std::vector<uint64_t>& bytes,
+                     const std::vector<uint64_t>& live_nodes,
+                     std::string_view bytes_prom,
+                     std::string_view live_nodes_prom, StatsVisitor& v) {
+  v.Array("per_node_arena_bytes", "node");
+  for (uint64_t b : bytes) {
+    v.Gauge({}, b, bytes_prom,
+            "Arena slab bytes reserved by joiners of each NUMA node");
+  }
+  v.End();
+  v.Array("per_node_arena_live_nodes", "node");
+  for (uint64_t n : live_nodes) {
+    v.Gauge({}, n, live_nodes_prom,
+            "Index nodes resident in each NUMA node's arenas");
+  }
+  v.End();
 }
 
 }  // namespace
 
-std::string RenderPrometheusMetrics(const AdminSnapshot& snap) {
-  PrometheusWriter w;
-  const PrometheusLabels run_labels = {{"engine", snap.engine_name},
-                                       {"workload", snap.workload_name}};
+void VisitAdminStats(const AdminSnapshot& snap, StatsVisitor& v) {
+  v.Text("state", snap.recovering
+                      ? "recovering"
+                      : (snap.run_finished ? "finished" : "serving"));
+  v.Text("engine", snap.engine_name);
+  v.Text("workload", snap.workload_name);
+  v.Gauge("up", 1.0, {}, "1 while the server is serving",
+          {{"engine", snap.engine_name}, {"workload", snap.workload_name}});
+  v.Gauge("uptime_seconds", snap.uptime_seconds, {},
+          "Seconds since the server started");
+  v.Flag("run_finished", snap.run_finished, {},
+         "1 once the run has been finalized");
+  v.Flag("recovering", snap.recovering, {},
+         "1 while the engine is replaying its WAL");
 
-  w.Gauge("oij_up", "1 while the server is serving", 1.0, run_labels);
-  w.Gauge("oij_uptime_seconds", "Seconds since the server started",
-          snap.uptime_seconds);
-  w.Gauge("oij_healthy", "1 while the engine health probe reports OK",
-          snap.health.ok() ? 1.0 : 0.0);
-  w.Gauge("oij_run_finished", "1 once the run has been finalized",
-          snap.run_finished ? 1.0 : 0.0);
-  w.Gauge("oij_recovering", "1 while the engine is replaying its WAL",
-          snap.recovering ? 1.0 : 0.0);
+  v.Object("health");
+  v.Flag("ok", snap.health.ok(), "oij_healthy",
+         "1 while the engine health probe reports OK");
+  v.Text("status", snap.health.ToString());
+  v.End();
 
   const ServerCounters& c = snap.counters;
-  w.Counter("oij_connections_accepted_total",
-            "Data-plane connections accepted",
-            static_cast<double>(c.connections_accepted));
-  w.Gauge("oij_connections_open", "Data-plane connections currently open",
-          static_cast<double>(c.connections_open));
-  w.Counter("oij_admin_requests_total", "Admin HTTP requests served",
-            static_cast<double>(c.admin_requests));
-  w.Counter("oij_ingest_bytes_total", "Bytes received on the data plane",
-            static_cast<double>(c.bytes_in));
-  w.Counter("oij_egress_bytes_total", "Bytes written on the data plane",
-            static_cast<double>(c.bytes_out));
-  w.Counter("oij_frames_total", "Well-formed wire frames decoded",
-            static_cast<double>(c.frames_in));
-  w.Counter("oij_frames_rejected_total",
-            "Malformed frames that closed their connection",
-            static_cast<double>(c.frames_rejected));
-  w.Counter("oij_ingest_tuples_total", "Tuple frames ingested",
-            static_cast<double>(c.tuples_in));
-  w.Counter("oij_ingest_watermarks_total", "Watermark frames ingested",
-            static_cast<double>(c.watermarks_in));
-  w.Counter("oij_results_streamed_total",
-            "Result frames queued to subscribers",
-            static_cast<double>(c.results_streamed));
-  w.Gauge("oij_subscribers", "Connections subscribed to results",
-          static_cast<double>(c.subscribers));
-  w.Counter("oij_subscribers_evicted_total",
-            "Subscribers dropped for exceeding the egress backlog bound",
-            static_cast<double>(c.subscribers_evicted));
-  w.Counter("oij_watermark_acks_total",
-            "Watermark acknowledgements sent to hello'd peers",
-            static_cast<double>(c.watermark_acks));
-  w.Counter("oij_hellos_rejected_total",
-            "Handshake frames refused (magic/version/order)",
-            static_cast<double>(c.hellos_rejected));
+  v.Object("server");
+  v.Counter("connections_accepted", c.connections_accepted,
+            "oij_connections_accepted_total",
+            "Data-plane connections accepted");
+  v.Gauge("connections_open", c.connections_open, "oij_connections_open",
+          "Data-plane connections currently open");
+  v.Counter("admin_requests", c.admin_requests, "oij_admin_requests_total",
+            "Admin HTTP requests served");
+  v.Counter("bytes_in", c.bytes_in, "oij_ingest_bytes_total",
+            "Bytes received on the data plane");
+  v.Counter("bytes_out", c.bytes_out, "oij_egress_bytes_total",
+            "Bytes written on the data plane");
+  v.Counter("frames_in", c.frames_in, "oij_frames_total",
+            "Well-formed wire frames decoded");
+  v.Counter("frames_rejected", c.frames_rejected, "oij_frames_rejected_total",
+            "Malformed frames that closed their connection");
+  v.Counter("tuples_in", c.tuples_in, "oij_ingest_tuples_total",
+            "Tuple frames ingested");
+  v.Counter("watermarks_in", c.watermarks_in, "oij_ingest_watermarks_total",
+            "Watermark frames ingested");
+  v.Counter("results_streamed", c.results_streamed,
+            "oij_results_streamed_total",
+            "Result frames queued to subscribers");
+  v.Gauge("subscribers", c.subscribers, "oij_subscribers",
+          "Connections subscribed to results");
+  v.Counter("subscribers_evicted", c.subscribers_evicted,
+            "oij_subscribers_evicted_total",
+            "Subscribers dropped for exceeding the egress backlog bound");
+  v.Counter("watermark_acks", c.watermark_acks, "oij_watermark_acks_total",
+            "Watermark acknowledgements sent to hello'd peers");
+  v.Counter("hellos_rejected", c.hellos_rejected, "oij_hellos_rejected_total",
+            "Handshake frames refused (magic/version/order)");
+  v.End();
 
   // Live engine progress: router intake and the per-joiner rings.
-  w.Counter("oij_engine_accepted_tuples_total",
-            "Tuples the engine's router accepted",
-            static_cast<double>(snap.progress.pushed));
-  w.Counter("oij_engine_watermarks_total",
-            "Watermark punctuations signaled to the engine",
-            static_cast<double>(snap.progress.watermarks));
-  for (size_t j = 0; j < snap.progress.queue_depths.size(); ++j) {
-    w.Gauge("oij_joiner_queue_depth",
-            "Router->joiner ring occupancy (events)",
-            static_cast<double>(snap.progress.queue_depths[j]),
-            {{"joiner", std::to_string(j)}});
+  const WatchdogSample& p = snap.progress;
+  v.Object("engine_progress");
+  v.Counter("accepted_tuples", p.pushed, "oij_engine_accepted_tuples_total",
+            "Tuples the engine's router accepted");
+  v.Counter("watermarks", p.watermarks, "oij_engine_watermarks_total",
+            "Watermark punctuations signaled to the engine");
+  v.Array("queue_depths", "joiner");
+  for (size_t d : p.queue_depths) {
+    v.Gauge({}, d, "oij_joiner_queue_depth",
+            "Router->joiner ring occupancy (events)");
   }
-  for (size_t j = 0; j < snap.progress.consumed.size(); ++j) {
-    w.Counter("oij_joiner_consumed_total", "Events processed per joiner",
-              static_cast<double>(snap.progress.consumed[j]),
-              {{"joiner", std::to_string(j)}});
+  v.End();
+  v.Array("consumed", "joiner");
+  for (uint64_t n : p.consumed) {
+    v.Counter({}, n, "oij_joiner_consumed_total",
+              "Events processed per joiner");
   }
-
+  v.End();
   // Allocator gauges (live; zero unless the engine runs pooled_alloc).
-  w.Gauge("oij_arena_bytes",
-          "Slab bytes reserved by the joiner-owned node arenas",
-          static_cast<double>(snap.progress.arena_bytes));
-  w.Gauge("oij_arena_live_nodes", "Nodes resident in the node arenas",
-          static_cast<double>(snap.progress.arena_live_nodes));
-  w.Gauge("oij_ebr_retired_backlog",
-          "Nodes retired to EBR and awaiting epoch drain",
-          static_cast<double>(snap.progress.ebr_retired_backlog));
-  w.Counter("oij_arena_slab_recycles_total",
-            "Fully-dead slabs returned to the arena empty pool",
-            static_cast<double>(snap.progress.arena_slab_recycles));
+  v.Object("memory");
+  v.Gauge("arena_bytes", p.arena_bytes, "oij_arena_bytes",
+          "Slab bytes reserved by the joiner-owned node arenas");
+  v.Gauge("arena_live_nodes", p.arena_live_nodes, "oij_arena_live_nodes",
+          "Nodes resident in the node arenas");
+  v.Gauge("ebr_retired_backlog", p.ebr_retired_backlog,
+          "oij_ebr_retired_backlog",
+          "Nodes retired to EBR and awaiting epoch drain");
+  v.Counter("arena_slab_recycles", p.arena_slab_recycles,
+            "oij_arena_slab_recycles_total",
+            "Fully-dead slabs returned to the arena empty pool");
+  v.End();
+  // NUMA placement (src/topo/). The node count always exports so
+  // dashboards can tell "flat machine" from "not scraping"; the
+  // per-joiner and per-node series exist only under an active plan.
+  v.Object("numa");
+  v.Flag("active", p.numa_active, "oij_numa_active",
+         "1 while joiners run pinned under a NUMA placement plan");
+  v.Gauge("nodes", p.numa_nodes, "oij_numa_nodes",
+          "NUMA nodes the engine's placement plan spans");
+  v.ExportToPrometheus(p.numa_active);
+  v.Array("pin_cpus", "joiner");
+  for (int cpu : p.numa_pin_cpus) {
+    v.Gauge({}, cpu, "oij_numa_joiner_cpu",
+            "CPU each joiner thread is pinned to (-1 = unpinned)");
+  }
+  v.End();
+  v.Array("joiner_node", "joiner");
+  for (uint32_t n : p.numa_joiner_node) {
+    v.Gauge({}, n, {}, "NUMA node ordinal each joiner runs on");
+  }
+  v.End();
+  VisitNodeArenas(p.per_node_arena_bytes, p.per_node_arena_live_nodes,
+                  "oij_numa_node_arena_bytes",
+                  "oij_numa_node_arena_live_nodes", v);
+  v.Counter("cross_replications", p.numa_cross_replications,
+            "oij_numa_cross_replications_total",
+            "Partition replicas the rebalancer placed on a remote node");
+  v.Counter("cross_dispatches", p.numa_cross_dispatches,
+            "oij_numa_cross_dispatches_total",
+            "Tuple dispatches routed off the partition leader's node");
+  v.ExportToPrometheus(true);
+  v.End();
+  v.End();
 
-  // NUMA placement (src/topo/). The node-count gauge always exports so
-  // dashboards can tell "flat machine" from "not scraping"; the per-node
-  // and per-joiner series appear only when a placement plan is active.
-  w.Gauge("oij_numa_nodes", "NUMA nodes the engine's placement plan spans",
-          static_cast<double>(snap.progress.numa_nodes));
-  w.Gauge("oij_numa_active",
-          "1 while joiners run pinned under a NUMA placement plan",
-          snap.progress.numa_active ? 1.0 : 0.0);
-  if (snap.progress.numa_active) {
-    for (size_t j = 0; j < snap.progress.numa_pin_cpus.size(); ++j) {
-      w.Gauge("oij_numa_joiner_cpu",
-              "CPU each joiner thread is pinned to (-1 = unpinned)",
-              static_cast<double>(snap.progress.numa_pin_cpus[j]),
-              {{"joiner", std::to_string(j)}});
-    }
-    for (size_t n = 0; n < snap.progress.per_node_arena_bytes.size(); ++n) {
-      w.Gauge("oij_numa_node_arena_bytes",
-              "Arena slab bytes reserved by joiners of each NUMA node",
-              static_cast<double>(snap.progress.per_node_arena_bytes[n]),
-              {{"node", std::to_string(n)}});
-    }
-    for (size_t n = 0;
-         n < snap.progress.per_node_arena_live_nodes.size(); ++n) {
-      w.Gauge("oij_numa_node_arena_live_nodes",
-              "Index nodes resident in each NUMA node's arenas",
-              static_cast<double>(
-                  snap.progress.per_node_arena_live_nodes[n]),
-              {{"node", std::to_string(n)}});
-    }
-    w.Counter("oij_numa_cross_replications_total",
-              "Partition replicas the rebalancer placed on a remote node",
-              static_cast<double>(snap.progress.numa_cross_replications));
-    w.Counter("oij_numa_cross_dispatches_total",
-              "Tuple dispatches routed off the partition leader's node",
-              static_cast<double>(snap.progress.numa_cross_dispatches));
-  }
-
-  // Standing-query catalog (one sample set per query ever registered;
-  // removed queries keep exporting with active=0 so their counters do
-  // not vanish mid-scrape).
-  for (const QueryStatsRow& q : snap.queries) {
-    const PrometheusLabels ql = {{"query", q.id}};
-    w.Gauge("oij_query_active",
-            "1 while the standing query accepts new base tuples",
-            q.active ? 1.0 : 0.0, ql);
-  }
-  for (const QueryStatsRow& q : snap.queries) {
-    w.Counter("oij_query_results_total",
-              "Join results emitted per standing query",
-              static_cast<double>(q.results), {{"query", q.id}});
-  }
-  for (const QueryStatsRow& q : snap.queries) {
-    w.Counter("oij_query_late_total",
-              "Lateness-bound violations observed per standing query",
-              static_cast<double>(q.late.tuples), {{"query", q.id}});
-  }
+  // Removed queries keep exporting with active=0 so their counters do
+  // not vanish mid-scrape.
+  if (!snap.queries.empty()) VisitQueryRows(snap.queries, v);
 
   // Durability (absent entirely when the engine runs without a WAL).
   if (snap.wal.enabled) {
     const WalStats& wal = snap.wal;
-    w.Counter("oij_wal_appended_records_total",
-              "Records appended to the write-ahead log",
-              static_cast<double>(wal.appended_records));
-    w.Counter("oij_wal_appended_bytes",
-              "Bytes appended to the write-ahead log",
-              static_cast<double>(wal.appended_bytes));
-    w.Gauge("oij_wal_synced_records",
+    v.Object("wal");
+    v.ExportToPrometheus(false);  // oij_recovering already exports it
+    v.Flag("recovering", snap.recovering);
+    v.ExportToPrometheus(true);
+    v.Counter("appended_records", wal.appended_records, {},
+              "Records appended to the write-ahead log");
+    v.Counter("appended_bytes", wal.appended_bytes, {},
+              "Bytes appended to the write-ahead log");
+    v.Gauge("synced_records", wal.synced_records, {},
             "Appended records known durable; appended - synced bounds "
-            "crash loss",
-            static_cast<double>(wal.synced_records));
-    w.Counter("oij_wal_fsyncs_total", "fsync calls issued by group commit",
-              static_cast<double>(wal.fsyncs));
-    w.Counter("oij_wal_fsync_failures_total",
-              "Injected fsync failures (disk-fault harness)",
-              static_cast<double>(wal.fsync_failures));
-    w.Counter("oij_wal_short_writes_total",
-              "Injected short writes (disk-fault harness)",
-              static_cast<double>(wal.short_writes));
-    w.Counter("oij_snapshots_total", "Snapshot epochs committed",
-              static_cast<double>(wal.snapshots_taken));
-    // Omitted until the first snapshot commits: exporting the -1.0
-    // "never" sentinel as a real sample reads as a negative age and
-    // poisons `oij_snapshot_age_seconds > X` alert rules.
+            "crash loss");
+    v.Counter("fsyncs", wal.fsyncs, {}, "fsync calls issued by group commit");
+    v.Counter("fsync_failures", wal.fsync_failures, {},
+              "Injected fsync failures (disk-fault harness)");
+    v.Counter("short_writes", wal.short_writes, {},
+              "Injected short writes (disk-fault harness)");
+    v.Counter("snapshots_taken", wal.snapshots_taken, "oij_snapshots_total",
+              "Snapshot epochs committed");
+    v.Gauge("snapshot_records", wal.snapshot_records, {},
+            "Records in the latest committed snapshot");
+    // Null/omitted until the first snapshot commits: a -1 "never"
+    // sentinel reads as a negative age and poisons
+    // `oij_snapshot_age_seconds > X` alert rules.
     if (snap.snapshot_age_seconds >= 0.0) {
-      w.Gauge("oij_snapshot_age_seconds",
-              "Seconds since the last committed snapshot",
-              snap.snapshot_age_seconds);
+      v.Gauge("snapshot_age_seconds", snap.snapshot_age_seconds,
+              "oij_snapshot_age_seconds",
+              "Seconds since the last committed snapshot");
+    } else {
+      v.Field("snapshot_age_seconds", std::nan(""));
     }
-    w.Counter("oij_wal_replay_records",
-              "Records replayed through ingest during recovery",
-              static_cast<double>(wal.replay_records));
-    w.Counter("oij_wal_torn_records_total",
-              "Torn or corrupt tail records discarded during recovery",
-              static_cast<double>(wal.torn_records));
-    w.Gauge("oij_recovery_duration_us",
-            "Wall time of the last crash recovery (0 = none ran)",
-            static_cast<double>(wal.recovery_duration_us));
+    v.Counter("replay_records", wal.replay_records, {},
+              "Records replayed through ingest during recovery");
+    v.Counter("replay_watermarks", wal.replay_watermarks, {},
+              "Watermarks replayed during recovery");
+    v.Counter("torn_records", wal.torn_records, {},
+              "Torn or corrupt tail records discarded during recovery");
+    v.Gauge("recovery_duration_us", wal.recovery_duration_us,
+            "oij_recovery_duration_us",
+            "Wall time of the last crash recovery (0 = none ran)");
+    v.End();
   }
 
   if (snap.run_finished) {
     const RunResult& run = snap.final_run;
     const EngineStats& st = run.stats;
-    w.Counter("oij_run_input_tuples_total",
-              "Input tuples of the finalized run",
-              static_cast<double>(run.tuples));
-    w.Counter("oij_run_results_total", "Results of the finalized run",
-              static_cast<double>(st.results));
-    w.Gauge("oij_run_elapsed_seconds", "Wall time of the finalized run",
-            run.elapsed_seconds);
-    w.Gauge("oij_run_throughput_tps",
-            "Input tuples per second of the finalized run",
-            run.throughput_tps);
-
-    w.Histogram("oij_result_latency_us",
-                "Result latency (arrival to emit, microseconds)",
-                st.latency);
-    // Summary gauges alongside the histogram; the Percentile <= max
-    // invariant established in the recorder carries through verbatim.
-    for (double q : {0.5, 0.9, 0.99}) {
-      char qbuf[8];
-      std::snprintf(qbuf, sizeof(qbuf), "%g", q);
-      w.Gauge("oij_result_latency_quantile_us",
-              "Result latency summary quantiles",
-              static_cast<double>(st.latency.Percentile(q)),
-              {{"quantile", qbuf}});
+    v.Object("run");
+    v.Counter("tuples", run.tuples, "oij_run_input_tuples_total",
+              "Input tuples of the finalized run");
+    v.Gauge("elapsed_seconds", run.elapsed_seconds, {},
+            "Wall time of the finalized run");
+    v.Gauge("throughput_tps", run.throughput_tps, {},
+            "Input tuples per second of the finalized run");
+    v.Counter("results", st.results, {}, "Results of the finalized run");
+    v.Object("latency_us");
+    v.Histogram("oij_result_latency_us",
+                "Result latency (arrival to emit, microseconds)", st.latency);
+    // The Percentile <= max invariant of the recorder carries through.
+    for (auto [key, q, label] : {std::tuple{"p50", 0.5, "0.5"},
+                                 std::tuple{"p90", 0.9, "0.9"},
+                                 std::tuple{"p99", 0.99, "0.99"}}) {
+      v.Gauge(key, st.latency.Percentile(q), "oij_result_latency_quantile_us",
+              "Result latency summary quantiles", {{"quantile", label}});
     }
-    w.Gauge("oij_result_latency_max_us", "Maximum observed result latency",
-            static_cast<double>(st.latency.max_us()));
-
-    w.Counter("oij_late_tuples_total",
-              "Lateness-bound violations by disposition",
-              static_cast<double>(st.late.joined),
-              {{"disposition", "joined"}});
-    w.Counter("oij_late_tuples_total",
-              "Lateness-bound violations by disposition",
-              static_cast<double>(st.late.dropped),
-              {{"disposition", "dropped"}});
-    w.Counter("oij_late_tuples_total",
-              "Lateness-bound violations by disposition",
-              static_cast<double>(st.late.side_channel),
-              {{"disposition", "side_channel"}});
-    w.Counter("oij_overload_dropped_total",
-              "Tuples lost to backpressure",
-              static_cast<double>(st.overload_dropped));
-    w.Counter("oij_overload_shed_total",
-              "Tuples shed by the kShedOldest policy",
-              static_cast<double>(st.overload_shed));
-    w.Counter("oij_control_lost_total",
-              "Watermark/flush punctuations lost to stop/deadline",
-              static_cast<double>(st.control_lost));
+    v.Gauge("max", st.latency.max_us(), "oij_result_latency_max_us",
+            "Maximum observed result latency");
+    v.Gauge("mean", st.latency.mean_us(), {}, "Mean result latency");
+    v.End();
+    v.Object("late");
+    v.Counter("tuples", st.late.tuples, {},
+              "Lateness-bound violations of the finalized run");
+    for (auto [key, value] : {std::pair{"dropped", st.late.dropped},
+                              std::pair{"side_channel", st.late.side_channel},
+                              std::pair{"joined", st.late.joined}}) {
+      v.Counter(key, value, "oij_late_tuples_total",
+                "Lateness-bound violations by disposition",
+                {{"disposition", key}});
+    }
+    v.End();
+    v.Object("overload");
+    v.Counter("dropped", st.overload_dropped, "oij_overload_dropped_total",
+              "Tuples lost to backpressure");
+    v.Counter("shed", st.overload_shed, "oij_overload_shed_total",
+              "Tuples shed by the kShedOldest policy");
+    v.Counter("control_lost", st.control_lost, "oij_control_lost_total",
+              "Watermark/flush punctuations lost to stop/deadline");
+    v.End();
+    v.Object("memory");
+    v.Flag("pooled", st.mem.pooled, {}, "1 when the run used node arenas");
+    v.Gauge("arena_reserved_bytes", st.mem.arena_reserved_bytes, {},
+            "Arena slab bytes reserved at the end of the run");
+    v.Gauge("arena_live_nodes", st.mem.arena_live_nodes, {},
+            "Arena nodes resident at the end of the run");
+    v.Counter("arena_allocations", st.mem.arena_allocations, {},
+              "Arena node allocations of the run");
+    v.Counter("arena_slab_recycles", st.mem.arena_slab_recycles, {},
+              "Arena slabs recycled during the run");
+    v.Gauge("ebr_retired_backlog", st.mem.ebr_retired_backlog, {},
+            "Nodes awaiting EBR reclamation at the end of the run");
+    v.End();
+    v.Object("numa");
+    v.Flag("active", st.numa_active, {},
+           "1 when the run's joiners ran under a NUMA placement plan");
+    v.Gauge("nodes", st.numa_nodes, {},
+            "NUMA nodes the run's placement plan spanned");
+    v.ExportToPrometheus(st.numa_active);
+    VisitNodeArenas(st.numa_node_arena_bytes, st.numa_node_arena_live_nodes,
+                    {}, {}, v);
+    v.Counter("cross_replications", st.numa_cross_replications, {},
+              "Partition replicas the run placed on a remote node");
+    v.Counter("cross_dispatches", st.numa_cross_dispatches, {},
+              "Tuple dispatches the run routed off the leader's node");
+    v.ExportToPrometheus(true);
+    v.End();
+    v.Array("warnings");
+    for (const std::string& w : st.warnings) v.Text({}, w);
+    v.End();
+    v.End();
   }
+}
+
+std::string RenderPrometheusMetrics(const AdminSnapshot& snap) {
+  PrometheusStatsWriter w("oij_");
+  VisitAdminStats(snap, w);
   return w.Take();
 }
 
 std::string RenderStatzJson(const AdminSnapshot& snap) {
-  JsonOut j;
-  j.Open('{');
-  j.Key("state");
-  j.String(snap.recovering ? "recovering"
-                           : (snap.run_finished ? "finished" : "serving"));
-  j.Key("engine");
-  j.String(snap.engine_name);
-  j.Key("workload");
-  j.String(snap.workload_name);
-  j.Key("uptime_seconds");
-  j.Number(snap.uptime_seconds);
-
-  j.Key("health");
-  j.Open('{');
-  j.Key("ok");
-  j.Bool(snap.health.ok());
-  j.Key("status");
-  j.String(snap.health.ToString());
-  j.Close('}');
-
-  const ServerCounters& c = snap.counters;
-  j.Key("server");
-  j.Open('{');
-  j.Key("connections_accepted");
-  j.Number(c.connections_accepted);
-  j.Key("connections_open");
-  j.Number(c.connections_open);
-  j.Key("admin_requests");
-  j.Number(c.admin_requests);
-  j.Key("bytes_in");
-  j.Number(c.bytes_in);
-  j.Key("bytes_out");
-  j.Number(c.bytes_out);
-  j.Key("frames_in");
-  j.Number(c.frames_in);
-  j.Key("frames_rejected");
-  j.Number(c.frames_rejected);
-  j.Key("tuples_in");
-  j.Number(c.tuples_in);
-  j.Key("watermarks_in");
-  j.Number(c.watermarks_in);
-  j.Key("results_streamed");
-  j.Number(c.results_streamed);
-  j.Key("subscribers");
-  j.Number(c.subscribers);
-  j.Key("subscribers_evicted");
-  j.Number(c.subscribers_evicted);
-  j.Key("watermark_acks");
-  j.Number(c.watermark_acks);
-  j.Key("hellos_rejected");
-  j.Number(c.hellos_rejected);
-  j.Close('}');
-
-  j.Key("engine_progress");
-  j.Open('{');
-  j.Key("accepted_tuples");
-  j.Number(snap.progress.pushed);
-  j.Key("watermarks");
-  j.Number(snap.progress.watermarks);
-  j.Key("queue_depths");
-  j.Open('[');
-  for (size_t d : snap.progress.queue_depths) {
-    j.Number(static_cast<uint64_t>(d));
-  }
-  j.Close(']');
-  j.Key("consumed");
-  j.Open('[');
-  for (uint64_t v : snap.progress.consumed) j.Number(v);
-  j.Close(']');
-  j.Key("memory");
-  j.Open('{');
-  j.Key("arena_bytes");
-  j.Number(snap.progress.arena_bytes);
-  j.Key("arena_live_nodes");
-  j.Number(snap.progress.arena_live_nodes);
-  j.Key("ebr_retired_backlog");
-  j.Number(snap.progress.ebr_retired_backlog);
-  j.Key("arena_slab_recycles");
-  j.Number(snap.progress.arena_slab_recycles);
-  j.Close('}');
-  j.Key("numa");
-  j.Open('{');
-  j.Key("active");
-  j.Bool(snap.progress.numa_active);
-  j.Key("nodes");
-  j.Number(static_cast<uint64_t>(snap.progress.numa_nodes));
-  j.Key("pin_cpus");
-  j.Open('[');
-  for (int cpu : snap.progress.numa_pin_cpus) {
-    j.Number(static_cast<int64_t>(cpu));
-  }
-  j.Close(']');
-  j.Key("joiner_node");
-  j.Open('[');
-  for (uint32_t n : snap.progress.numa_joiner_node) {
-    j.Number(static_cast<uint64_t>(n));
-  }
-  j.Close(']');
-  j.Key("per_node_arena_bytes");
-  j.Open('[');
-  for (uint64_t v : snap.progress.per_node_arena_bytes) j.Number(v);
-  j.Close(']');
-  j.Key("per_node_arena_live_nodes");
-  j.Open('[');
-  for (uint64_t v : snap.progress.per_node_arena_live_nodes) j.Number(v);
-  j.Close(']');
-  j.Key("cross_replications");
-  j.Number(snap.progress.numa_cross_replications);
-  j.Key("cross_dispatches");
-  j.Number(snap.progress.numa_cross_dispatches);
-  j.Close('}');
-  j.Close('}');
-
-  if (!snap.queries.empty()) {
-    j.Key("queries");
-    AppendQueryRows(j, snap.queries);
-  }
-
-  if (snap.wal.enabled) {
-    const WalStats& wal = snap.wal;
-    j.Key("wal");
-    j.Open('{');
-    j.Key("recovering");
-    j.Bool(snap.recovering);
-    j.Key("appended_records");
-    j.Number(wal.appended_records);
-    j.Key("appended_bytes");
-    j.Number(wal.appended_bytes);
-    j.Key("synced_records");
-    j.Number(wal.synced_records);
-    j.Key("fsyncs");
-    j.Number(wal.fsyncs);
-    j.Key("fsync_failures");
-    j.Number(wal.fsync_failures);
-    j.Key("short_writes");
-    j.Number(wal.short_writes);
-    j.Key("snapshots_taken");
-    j.Number(wal.snapshots_taken);
-    j.Key("snapshot_records");
-    j.Number(wal.snapshot_records);
-    j.Key("snapshot_age_seconds");
-    if (snap.snapshot_age_seconds >= 0.0) {
-      j.Number(snap.snapshot_age_seconds);
-    } else {
-      j.Null();  // no snapshot yet; -1 would read as a real age
-    }
-    j.Key("replay_records");
-    j.Number(wal.replay_records);
-    j.Key("replay_watermarks");
-    j.Number(wal.replay_watermarks);
-    j.Key("torn_records");
-    j.Number(wal.torn_records);
-    j.Key("recovery_duration_us");
-    j.Number(wal.recovery_duration_us);
-    j.Close('}');
-  }
-
-  if (snap.run_finished) {
-    const RunResult& run = snap.final_run;
-    const EngineStats& st = run.stats;
-    j.Key("run");
-    j.Open('{');
-    j.Key("tuples");
-    j.Number(run.tuples);
-    j.Key("elapsed_seconds");
-    j.Number(run.elapsed_seconds);
-    j.Key("throughput_tps");
-    j.Number(run.throughput_tps);
-    j.Key("results");
-    j.Number(st.results);
-    j.Key("latency_us");
-    j.Open('{');
-    j.Key("p50");
-    j.Number(st.latency.Percentile(0.50));
-    j.Key("p90");
-    j.Number(st.latency.Percentile(0.90));
-    j.Key("p99");
-    j.Number(st.latency.Percentile(0.99));
-    j.Key("max");
-    j.Number(st.latency.max_us());
-    j.Key("mean");
-    j.Number(st.latency.mean_us());
-    j.Close('}');
-    j.Key("late");
-    j.Open('{');
-    j.Key("tuples");
-    j.Number(st.late.tuples);
-    j.Key("dropped");
-    j.Number(st.late.dropped);
-    j.Key("side_channel");
-    j.Number(st.late.side_channel);
-    j.Key("joined");
-    j.Number(st.late.joined);
-    j.Close('}');
-    j.Key("overload");
-    j.Open('{');
-    j.Key("dropped");
-    j.Number(st.overload_dropped);
-    j.Key("shed");
-    j.Number(st.overload_shed);
-    j.Key("control_lost");
-    j.Number(st.control_lost);
-    j.Close('}');
-    j.Key("memory");
-    j.Open('{');
-    j.Key("pooled");
-    j.Bool(st.mem.pooled);
-    j.Key("arena_reserved_bytes");
-    j.Number(st.mem.arena_reserved_bytes);
-    j.Key("arena_live_nodes");
-    j.Number(st.mem.arena_live_nodes);
-    j.Key("arena_allocations");
-    j.Number(st.mem.arena_allocations);
-    j.Key("arena_slab_recycles");
-    j.Number(st.mem.arena_slab_recycles);
-    j.Key("ebr_retired_backlog");
-    j.Number(st.mem.ebr_retired_backlog);
-    j.Close('}');
-    j.Key("numa");
-    j.Open('{');
-    j.Key("active");
-    j.Bool(st.numa_active);
-    j.Key("nodes");
-    j.Number(static_cast<uint64_t>(st.numa_nodes));
-    j.Key("per_node_arena_bytes");
-    j.Open('[');
-    for (uint64_t v : st.numa_node_arena_bytes) j.Number(v);
-    j.Close(']');
-    j.Key("per_node_arena_live_nodes");
-    j.Open('[');
-    for (uint64_t v : st.numa_node_arena_live_nodes) j.Number(v);
-    j.Close(']');
-    j.Key("cross_replications");
-    j.Number(st.numa_cross_replications);
-    j.Key("cross_dispatches");
-    j.Number(st.numa_cross_dispatches);
-    j.Close('}');
-    j.Key("warnings");
-    j.Open('[');
-    for (const std::string& w : st.warnings) j.String(w);
-    j.Close(']');
-    j.Close('}');
-  }
-  j.Close('}');
-  std::string out = j.Take();
-  out += '\n';
-  return out;
+  JsonWriter j;
+  VisitAdminStats(snap, j);
+  return j.Take();
 }
 
 std::string RenderQueriesJson(const std::vector<QueryStatsRow>& queries) {
-  JsonOut j;
-  j.Open('{');
-  j.Key("queries");
-  AppendQueryRows(j, queries);
-  j.Close('}');
-  std::string out = j.Take();
-  out += '\n';
-  return out;
+  JsonWriter j;
+  VisitQueryRows(queries, j);
+  return j.Take();
 }
 
 namespace {
@@ -698,25 +379,13 @@ struct JsonCursor {
     }
     return false;  // unterminated
   }
+  /// An optionally negative decimal that fits int64_t.
   bool ParseInt(int64_t* out) {
     SkipWs();
-    const size_t start = pos;
-    if (pos < in.size() && in[pos] == '-') ++pos;
-    const size_t digits = pos;
-    while (pos < in.size() && in[pos] >= '0' && in[pos] <= '9') ++pos;
-    if (pos == digits) {
-      pos = start;
-      return false;
-    }
-    int64_t v = 0;
-    for (size_t i = digits; i < pos; ++i) {
-      if (v > (INT64_MAX - (in[i] - '0')) / 10) {
-        pos = start;
-        return false;
-      }
-      v = v * 10 + (in[i] - '0');
-    }
-    *out = in[start] == '-' ? -v : v;
+    const char* end = in.data() + in.size();
+    const auto [next, ec] = std::from_chars(in.data() + pos, end, *out);
+    if (ec != std::errc()) return false;
+    pos = static_cast<size_t>(next - in.data());
     return true;
   }
 };
@@ -832,26 +501,21 @@ int HttpStatusForStatus(const Status& status) {
       return 400;
     case Status::Code::kNotFound:
       return 404;
+    case Status::Code::kUnavailable:
+      return 503;
     default:
       return 500;
   }
 }
 
 std::string BuildQueryErrorResponse(const Status& status) {
-  JsonOut j;
-  j.Open('{');
-  j.Key("error");
-  j.Open('{');
-  j.Key("code");
-  j.String(CodeName(status.code()));
-  j.Key("message");
-  j.String(status.message());
-  j.Close('}');
-  j.Close('}');
-  std::string body = j.Take();
-  body += '\n';
+  JsonWriter j;
+  j.Object("error");
+  j.Text("code", CodeName(status.code()));
+  j.Text("message", status.message());
+  j.End();
   return BuildHttpResponse(HttpStatusForStatus(status), "application/json",
-                           body);
+                           j.Take());
 }
 
 std::string RenderHealthz(const AdminSnapshot& snap, int* status_code) {

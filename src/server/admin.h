@@ -9,6 +9,7 @@
 #include "common/watchdog.h"
 #include "core/pipeline.h"
 #include "join/engine.h"
+#include "metrics/stats_visitor.h"
 #include "net/http.h"
 #include "wal/wal.h"
 
@@ -79,6 +80,11 @@ struct AdminSnapshot {
   RunResult final_run;
 };
 
+/// The server's one stats walk: visits every value /statz and /metrics
+/// export, in /statz document order. New series follow the naming rule
+/// in StatsVisitor (`oij_` + /statz path + `_total` for counters).
+void VisitAdminStats(const AdminSnapshot& snap, StatsVisitor& v);
+
 /// Prometheus text-exposition body for GET /metrics.
 std::string RenderPrometheusMetrics(const AdminSnapshot& snap);
 
@@ -107,7 +113,7 @@ Status ParseQuerySpecJson(std::string_view body, const QuerySpec& defaults,
 
 /// Maps a catalog Status to an admin-plane HTTP status code
 /// (InvalidArgument/ParseError/FailedPrecondition -> 400, NotFound ->
-/// 404, anything else -> 500).
+/// 404, Unavailable -> 503, anything else -> 500).
 int HttpStatusForStatus(const Status& status);
 
 /// Complete HTTP response carrying the structured error body

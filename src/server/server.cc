@@ -16,6 +16,15 @@ bool SameSpec(const QuerySpec& a, const QuerySpec& b) {
          a.emit_mode == b.emit_mode && a.late_policy == b.late_policy;
 }
 
+/// A catalog change's reply: 200 `{"<verb>":"<id>"}`, or the error.
+std::string CatalogReply(const Status& s, std::string_view verb,
+                         const std::string& id) {
+  if (!s.ok()) return BuildQueryErrorResponse(s);
+  JsonWriter j;
+  j.Text(verb, id);
+  return BuildHttpResponse(200, "application/json", j.Take());
+}
+
 }  // namespace
 
 /// Joiner threads call OnResult concurrently; frames are encoded under a
@@ -646,44 +655,30 @@ void OijServer::ProcessAdminInput(Conn* conn) {
   FlushConn(conn);
 }
 
-std::string OijServer::HandleAddQueryRequest(const HttpRequest& request) {
+Status OijServer::CatalogWritable() const {
+  // 503 keeps clients retrying until the replayed state is live.
   if (engine_->Recovering()) {
-    return BuildHttpResponse(
-        503, "application/json",
-        "{\"error\":{\"code\":\"Unavailable\","
-        "\"message\":\"engine recovering; retry later\"}}\n");
+    return Status::Unavailable("engine recovering; retry later");
   }
   if (run_finished_.load(std::memory_order_relaxed)) {
-    return BuildQueryErrorResponse(
-        Status::FailedPrecondition("run already finalized"));
+    return Status::FailedPrecondition("run already finalized");
   }
+  return Status::OK();
+}
+
+std::string OijServer::HandleAddQueryRequest(const HttpRequest& request) {
   std::string id;
   QuerySpec spec;
-  Status s = ParseQuerySpecJson(request.body, config_.query, &id, &spec);
-  if (!s.ok()) return BuildQueryErrorResponse(s);
-  s = engine_->AddQuery(id, spec);
-  if (!s.ok()) return BuildQueryErrorResponse(s);
-  // AddQuery validated the id against [A-Za-z0-9_.-]{1,64}, so embedding
-  // it unescaped is safe.
-  return BuildHttpResponse(200, "application/json",
-                           "{\"added\":\"" + id + "\"}\n");
+  Status s = CatalogWritable();
+  if (s.ok()) s = ParseQuerySpecJson(request.body, config_.query, &id, &spec);
+  if (s.ok()) s = engine_->AddQuery(id, spec);
+  return CatalogReply(s, "added", id);
 }
 
 std::string OijServer::HandleRemoveQueryRequest(const std::string& id) {
-  if (engine_->Recovering()) {
-    return BuildHttpResponse(
-        503, "application/json",
-        "{\"error\":{\"code\":\"Unavailable\","
-        "\"message\":\"engine recovering; retry later\"}}\n");
-  }
-  if (run_finished_.load(std::memory_order_relaxed)) {
-    return BuildQueryErrorResponse(
-        Status::FailedPrecondition("run already finalized"));
-  }
-  const Status s = engine_->RemoveQuery(id);
-  if (!s.ok()) return BuildQueryErrorResponse(s);
-  return BuildHttpResponse(200, "application/json",
-                           "{\"removed\":\"" + id + "\"}\n");
+  Status s = CatalogWritable();
+  if (s.ok()) s = engine_->RemoveQuery(id);
+  return CatalogReply(s, "removed", id);
 }
 
 void OijServer::FlushAllBeforeExit() {

@@ -121,8 +121,11 @@ class OijServer {
   void OnConnEvent(int fd, uint32_t ready);
   void ProcessDataInput(Conn* conn);
   void ProcessAdminInput(Conn* conn);
+  /// OK while the catalog accepts changes; Unavailable while the WAL
+  /// replays, FailedPrecondition once the run is finalized.
+  Status CatalogWritable() const;
   /// POST /queries: parse the JSON body, register the standing query on
-  /// the loop (= engine driver) thread, answer 200 or a structured 400.
+  /// the loop (= engine driver) thread, answer 200 or a structured error.
   std::string HandleAddQueryRequest(const HttpRequest& request);
   /// DELETE /queries/<id>: deactivate the standing query.
   std::string HandleRemoveQueryRequest(const std::string& id);

@@ -33,6 +33,7 @@
 #include <tuple>
 #include <vector>
 
+#include "admin_http.h"
 #include "join/reference_join.h"
 #include "join/watermark.h"
 #include "net/socket.h"
@@ -330,47 +331,6 @@ class LiveClient {
   std::string summary_;
   std::vector<std::string> errors_;
 };
-
-/// One blocking HTTP/1.0 GET; tolerates connection failure (code 0).
-std::string HttpGet(uint16_t port, const std::string& path, int* code) {
-  *code = 0;
-  int fd = -1;
-  if (!ConnectTcp("127.0.0.1", port, &fd).ok()) return "";
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (!SendAll(fd, request.data(), request.size()).ok()) {
-    CloseFd(fd);
-    return "";
-  }
-  std::string response;
-  char buf[8192];
-  int64_t n;
-  while ((n = RecvSome(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  CloseFd(fd);
-  const size_t sp = response.find(' ');
-  if (sp != std::string::npos) *code = std::atoi(response.c_str() + sp + 1);
-  const size_t body = response.find("\r\n\r\n");
-  return body == std::string::npos ? "" : response.substr(body + 4);
-}
-
-bool StatzNumber(const std::string& body, const std::string& key,
-                 double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = body.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(body.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-double StatzNumberOr(uint16_t admin_port, const std::string& key,
-                     double fallback) {
-  int code = 0;
-  const std::string body = HttpGet(admin_port, "/statz", &code);
-  double v = fallback;
-  if (code != 200 || !StatzNumber(body, key, &v)) return fallback;
-  return v;
-}
 
 size_t CountOccurrences(const std::string& body, const std::string& needle) {
   size_t count = 0, pos = 0;

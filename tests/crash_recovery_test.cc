@@ -32,6 +32,7 @@
 #include <tuple>
 #include <vector>
 
+#include "admin_http.h"
 #include "join/reference_join.h"
 #include "join/watermark.h"
 #include "net/socket.h"
@@ -256,81 +257,6 @@ class LiveClient {
   std::string summary_;
   std::vector<std::string> errors_;
 };
-
-/// One blocking HTTP/1.0 GET against the admin port. Unlike the
-/// in-process variant in server_test.cc this tolerates connection
-/// failures (the server may be mid-restart) by returning code 0.
-std::string HttpGet(uint16_t port, const std::string& path, int* code) {
-  *code = 0;
-  int fd = -1;
-  if (!ConnectTcp("127.0.0.1", port, &fd).ok()) return "";
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (!SendAll(fd, request.data(), request.size()).ok()) {
-    CloseFd(fd);
-    return "";
-  }
-  std::string response;
-  char buf[8192];
-  int64_t n;
-  while ((n = RecvSome(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  CloseFd(fd);
-  const size_t sp = response.find(' ');
-  if (sp != std::string::npos) *code = std::atoi(response.c_str() + sp + 1);
-  const size_t body = response.find("\r\n\r\n");
-  return body == std::string::npos ? "" : response.substr(body + 4);
-}
-
-/// One blocking HTTP/1.0 request with a body (the admin catalog
-/// endpoints take POST/DELETE). Same response handling as HttpGet.
-std::string HttpSend(uint16_t port, const std::string& method,
-                     const std::string& path, const std::string& body,
-                     int* code) {
-  *code = 0;
-  int fd = -1;
-  if (!ConnectTcp("127.0.0.1", port, &fd).ok()) return "";
-  std::string request = method + " " + path + " HTTP/1.0\r\n";
-  if (!body.empty()) {
-    request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  }
-  request += "\r\n" + body;
-  if (!SendAll(fd, request.data(), request.size()).ok()) {
-    CloseFd(fd);
-    return "";
-  }
-  std::string response;
-  char buf[8192];
-  int64_t n;
-  while ((n = RecvSome(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  CloseFd(fd);
-  const size_t sp = response.find(' ');
-  if (sp != std::string::npos) *code = std::atoi(response.c_str() + sp + 1);
-  const size_t resp_body = response.find("\r\n\r\n");
-  return resp_body == std::string::npos ? "" : response.substr(resp_body + 4);
-}
-
-/// Pulls `"key":<number>` out of a /statz body. All keys probed by these
-/// tests are unique within the document.
-bool StatzNumber(const std::string& body, const std::string& key,
-                 double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = body.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(body.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-double StatzNumberOr(uint16_t admin_port, const std::string& key,
-                     double fallback) {
-  int code = 0;
-  const std::string body = HttpGet(admin_port, "/statz", &code);
-  double v = fallback;
-  if (code != 200 || !StatzNumber(body, key, &v)) return fallback;
-  return v;
-}
 
 /// Sends events [begin, end) with the standard observe-then-punctuate
 /// cadence, continuing a global per-run event counter so watermark

@@ -533,5 +533,32 @@ TEST(FaultInjectionTest, WatermarkFreezeAbortsWhenConfigured) {
       << stats.health.ToString();
 }
 
+// ---------------------------------------------------------------------------
+// Lifecycle: dropping a started engine without Finish() must drain and
+// join its joiners before the engine's own state is destroyed (the base
+// destructor used to run Finish() after the subclass was gone: "pure
+// virtual method called" or a segfault).
+// ---------------------------------------------------------------------------
+
+TEST(FaultInjectionTest, DestroyWithoutFinishDrainsEveryEngine) {
+  for (EngineKind kind : kAllEngines) {
+    const std::string label(EngineKindName(kind));
+    CollectingSink sink;
+    {
+      EngineOptions options;
+      options.num_joiners = 2;
+      auto engine = CreateEngine(kind, BaseQuery(), options, &sink);
+      ASSERT_TRUE(engine->Start().ok()) << label;
+      StreamEvent ev;
+      ev.stream = StreamId::kBase;
+      ev.tuple.key = 1;
+      ev.tuple.ts = 1000;
+      engine->Push(ev, MonotonicNowUs());
+    }
+    // The implicit Finish() flushed the pending window.
+    EXPECT_EQ(sink.TakeResults().size(), 1u) << label;
+  }
+}
+
 }  // namespace
 }  // namespace oij

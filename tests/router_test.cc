@@ -23,12 +23,14 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -38,6 +40,7 @@
 #include <tuple>
 #include <vector>
 
+#include "admin_http.h"
 #include "cluster/router.h"
 #include "core/engine_factory.h"
 #include "join/reference_join.h"
@@ -67,29 +70,6 @@ bool WaitUntil(const std::function<bool()>& pred, int64_t timeout_ms = 15000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return pred();
-}
-
-/// One blocking HTTP/1.0 GET against an admin port.
-std::string HttpGet(uint16_t port, const std::string& path, int* code) {
-  int fd = -1;
-  *code = 0;
-  if (!ConnectTcp("127.0.0.1", port, &fd).ok()) return "";
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (!SendAll(fd, request.data(), request.size()).ok()) {
-    CloseFd(fd);
-    return "";
-  }
-  std::string response;
-  char buf[8192];
-  int64_t n;
-  while ((n = RecvSome(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  CloseFd(fd);
-  const size_t sp = response.find(' ');
-  if (sp != std::string::npos) *code = std::atoi(response.c_str() + sp + 1);
-  const size_t body = response.find("\r\n\r\n");
-  return body == std::string::npos ? "" : response.substr(body + 4);
 }
 
 /// Blocking router client with a concurrent reader; beyond DataClient
@@ -257,6 +237,8 @@ TEST(RouterFanBack, TwoBackendUnionMatchesReferenceOracle) {
               std::string::npos);
     EXPECT_NE(metrics.find("oij_router_backend_acked_watermark"),
               std::string::npos);
+    // Per-backend families stay contiguous with two backends.
+    ExpectValidExposition(metrics);
 
     AppendControlFrame(&batch, FrameType::kFinish);
     ASSERT_TRUE(client.Send(batch));
@@ -627,6 +609,66 @@ TEST(RouterFailover, NonDurableBackendLossReroutesToSurvivor) {
   }));
 
   router.Shutdown();
+}
+
+/// The same failover with real servers: a backend whose WAL fsyncs on
+/// an interval cannot promise that an acked watermark survives a crash,
+/// so it never advertises kHelloDurableExact and its keys must fail
+/// over, never queue sticky, when it stops.
+TEST(RouterFailover, IntervalFsyncWalBackendFailsOverNotSticky) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("oij_router_interval_wal_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ServerConfig sc;
+  sc.options.num_joiners = 1;
+  ServerConfig wal_sc = sc;
+  wal_sc.options.durability.wal_dir = dir.string();
+  wal_sc.options.durability.fsync = FsyncPolicy::kInterval;
+  wal_sc.options.durability.recover_to_watermark = true;
+  OijServer with_wal(wal_sc);
+  OijServer plain(sc);
+  ASSERT_TRUE(with_wal.Start().ok());
+  ASSERT_TRUE(plain.Start().ok());
+
+  OijRouter router(TwoBackendConfig(with_wal, plain));
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_TRUE(WaitUntil([&] {
+    return router.CountersSnapshot().backend_connects >= 2;
+  }));
+  int code = 0;
+  const std::string statz = HttpGet(router.admin_port(), "/statz", &code);
+  EXPECT_EQ(code, 200);
+  EXPECT_EQ(statz.find("\"durable_exact\":true"), std::string::npos) << statz;
+
+  const uint64_t kKeys = 200;
+  RouterClient client(router.data_port());
+  std::string batch;
+  for (uint64_t k = 0; k < kKeys; ++k) AppendTupleFrame(&batch, Ev(100, k));
+  ASSERT_TRUE(client.Send(batch));
+  ASSERT_TRUE(WaitUntil(
+      [&] { return router.CountersSnapshot().tuples_routed >= kKeys; }));
+
+  with_wal.Shutdown();
+  ASSERT_TRUE(WaitUntil([&] {
+    return router.CountersSnapshot().backend_disconnects >= 1;
+  }));
+  batch.clear();
+  for (uint64_t k = 0; k < kKeys; ++k) AppendTupleFrame(&batch, Ev(200, k));
+  ASSERT_TRUE(client.Send(batch));
+  ASSERT_TRUE(WaitUntil(
+      [&] { return router.CountersSnapshot().tuples_routed >= 2 * kKeys; }));
+
+  const RouterCounters rc = router.CountersSnapshot();
+  EXPECT_GT(rc.tuples_failed_over, 0u);
+  EXPECT_EQ(rc.tuples_queued_sticky, 0u);
+  EXPECT_EQ(rc.tuples_dropped, 0u);
+  ExpectValidExposition(HttpGet(router.admin_port(), "/metrics", &code));
+  EXPECT_EQ(code, 200);
+
+  router.Shutdown();
+  plain.Shutdown();
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------ sticky replay

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "admin_http.h"
 #include "common/fault_injector.h"
 #include "core/engine_factory.h"
 #include "join/reference_join.h"
@@ -111,62 +112,6 @@ class DataClient {
   int fd_ = -1;
   std::thread reader_;
 };
-
-/// One blocking HTTP/1.0 GET against the admin port.
-std::string HttpGet(uint16_t port, const std::string& path, int* code,
-                    const std::string& method = "GET") {
-  int fd = -1;
-  Status s = ConnectTcp("127.0.0.1", port, &fd);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  *code = 0;
-  if (fd < 0) return "";
-  const std::string request = method + " " + path + " HTTP/1.0\r\n\r\n";
-  s = SendAll(fd, request.data(), request.size());
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  std::string response;
-  char buf[8192];
-  int64_t n;
-  while ((n = RecvSome(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  CloseFd(fd);
-  const size_t sp = response.find(' ');
-  if (sp != std::string::npos) {
-    *code = std::atoi(response.c_str() + sp + 1);
-  }
-  const size_t body = response.find("\r\n\r\n");
-  return body == std::string::npos ? "" : response.substr(body + 4);
-}
-
-/// One blocking HTTP/1.0 request with a Content-Length body (the shape
-/// POST /queries and DELETE /queries/<id> accept).
-std::string HttpSend(uint16_t port, const std::string& method,
-                     const std::string& path, const std::string& body,
-                     int* code) {
-  int fd = -1;
-  Status s = ConnectTcp("127.0.0.1", port, &fd);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  *code = 0;
-  if (fd < 0) return "";
-  const std::string request = method + " " + path +
-                              " HTTP/1.0\r\nContent-Length: " +
-                              std::to_string(body.size()) + "\r\n\r\n" + body;
-  s = SendAll(fd, request.data(), request.size());
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  std::string response;
-  char buf[8192];
-  int64_t n;
-  while ((n = RecvSome(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  CloseFd(fd);
-  const size_t sp = response.find(' ');
-  if (sp != std::string::npos) {
-    *code = std::atoi(response.c_str() + sp + 1);
-  }
-  const size_t split = response.find("\r\n\r\n");
-  return split == std::string::npos ? "" : response.substr(split + 4);
-}
 
 /// Replays `events` through a server over loopback with the same
 /// observe-then-punctuate watermark cadence the in-process harness and
@@ -487,6 +432,7 @@ TEST(ServerAdminTest, QueryEndpointAddsListsRejectsAndRemoves) {
 
   // None of the rejects touched the catalog.
   body = HttpGet(port, "/queries", &code);
+  EXPECT_EQ(code, 200);
   EXPECT_EQ(body.find("\"id\":\"x\""), std::string::npos) << body;
 
   // Removal: unknown id is 404, the primary is pinned, a real remove
@@ -499,11 +445,43 @@ TEST(ServerAdminTest, QueryEndpointAddsListsRejectsAndRemoves) {
   EXPECT_EQ(code, 200) << body;
   EXPECT_NE(body.find("\"removed\":\"q1\""), std::string::npos) << body;
   body = HttpSend(port, "DELETE", "/queries/q1", "", &code);
+  EXPECT_NE(code, 0) << "admin port unreachable";
   EXPECT_NE(code, 200) << "second remove of the same id must fail";
   body = HttpGet(port, "/queries", &code);
+  EXPECT_EQ(code, 200);
   EXPECT_NE(body.find("\"active\":false"), std::string::npos) << body;
 
   server.Shutdown();
+}
+
+TEST(ServerAdminTest, QuerySpecIntegersMustFitInt64) {
+  const QuerySpec defaults;
+  std::string id;
+  QuerySpec spec;
+  ASSERT_TRUE(ParseQuerySpecJson(
+                  "{\"id\":\"q\",\"pre\":-5,\"fol\":9223372036854775807}",
+                  defaults, &id, &spec)
+                  .ok());
+  EXPECT_EQ(spec.window.pre, -5);
+  EXPECT_EQ(spec.window.fol, INT64_MAX);
+  for (const char* pre : {"9223372036854775808", "-", "+5", "x1"}) {
+    const Status s = ParseQuerySpecJson(
+        std::string("{\"id\":\"q\",\"pre\":") + pre + "}", defaults, &id,
+        &spec);
+    EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << pre;
+    EXPECT_NE(s.message().find("'pre' must be an integer"), std::string::npos)
+        << pre << ": " << s.ToString();
+  }
+}
+
+TEST(ServerAdminTest, CatalogRefusedWhileRecoveringIs503) {
+  const std::string reply = BuildQueryErrorResponse(
+      Status::Unavailable("engine recovering; retry later"));
+  EXPECT_EQ(reply.rfind("HTTP/1.0 503 ", 0), 0u) << reply;
+  EXPECT_NE(reply.find("\r\n\r\n{\"error\":{\"code\":\"Unavailable\","
+                       "\"message\":\"engine recovering; retry later\"}}\n"),
+            std::string::npos)
+      << reply;
 }
 
 // ------------------------------------------------- health under injection
@@ -567,6 +545,7 @@ TEST(ServerHealthTest, HealthzFlips503UnderWatermarkFreeze) {
   EXPECT_TRUE(flipped) << "healthz never reported the frozen watermark";
 
   const std::string metrics = HttpGet(server.admin_port(), "/metrics", &code);
+  EXPECT_EQ(code, 200);
   EXPECT_NE(metrics.find("oij_healthy 0"), std::string::npos);
 
   server.Shutdown();
@@ -608,6 +587,7 @@ TEST(ServerProtocolTest, GarbageFrameGetsErrorAndCleanCloseAndIsCounted) {
 
   int code = 0;
   const std::string body = HttpGet(server.admin_port(), "/metrics", &code);
+  EXPECT_EQ(code, 200);
   EXPECT_NE(body.find("oij_frames_rejected_total 2"), std::string::npos);
   server.Shutdown();
 }
